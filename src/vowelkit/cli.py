@@ -1,13 +1,10 @@
-"""Command-line entry point: extract, train, predict, evaluate, grid, report."""
+"""Command-line entry point: train, predict, evaluate, grid, report."""
 
 import argparse
 import configparser
 import json
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from .corpus import VOWELS, load_audio, load_phn
 from .errors import FormatError, InvalidInput, TooShort, VowelkitError
@@ -18,7 +15,6 @@ from .experiment import (
     config_fingerprint,
     emit_report,
     evaluate,
-    extract_token_features,
     frontend_for,
     grid_search,
     selection_for,
@@ -108,8 +104,6 @@ def _load_config_file(path) -> dict:
         svm = parser["svm"]
         if "kkt_tol" in svm:
             out["kkt_tol"] = float(svm["kkt_tol"])
-        if "max_passes" in svm:
-            out["max_passes"] = int(svm["max_passes"])
         if "max_iter" in svm:
             out["max_iter"] = int(svm["max_iter"])
     return out
@@ -133,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--frames", default="middle:3", help="middle:K or fcm:K")
         p.add_argument("--phonemes", default=None,
                        help="space/comma-separated whitelist (default: 20 vowels)")
-
-    p = sub.add_parser("extract", help="corpus to feature cache (.npz)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    add_common(p)
 
     p = sub.add_parser("train", help="train a one-vs-one model")
     p.add_argument("--corpus", required=True)
@@ -185,39 +174,11 @@ def _pipeline_pieces(args):
     return frontend, selection, phonemes
 
 
-def _cmd_extract(args):
-    from .corpus import load_corpus_tokens
-
-    frontend, _selection, phonemes = _pipeline_pieces(args)
-    tokens = load_corpus_tokens(args.corpus, whitelist=phonemes)
-    if not tokens:
-        raise InvalidInput(f"no usable tokens under {args.corpus}")
-    token_feats = extract_token_features(tokens, frontend)
-    arrays = {}
-    meta = []
-    for idx, (token, feats) in enumerate(token_feats):
-        meta.append({
-            "utterance_id": token.utterance_id, "label": token.label,
-            "begin": token.begin, "end": token.end, "split": token.split,
-            "skipped": feats is None,
-        })
-        if feats is not None:
-            arrays[f"feat_{idx}"] = feats
-    arrays["meta"] = np.array(json.dumps({"feature": args.feature, "tokens": meta}))
-    np.savez(args.out, **arrays)
-    _echo_config({"command": "extract", "corpus": args.corpus, "feature": args.feature,
-                  "phonemes": " ".join(phonemes), "seed": args.seed, "out": args.out})
-    kept = sum(1 for m in meta if not m["skipped"])
-    print(f"wrote {kept} token feature matrices ({len(meta) - kept} skipped) to {args.out}")
-    return EXIT_OK
-
-
 def _cmd_train(args):
     from .corpus import load_corpus_tokens
 
     frontend, selection, phonemes = _pipeline_pieces(args)
-    tokens = [t for t in load_corpus_tokens(args.corpus, whitelist=phonemes)
-              if t.split == "train"]
+    tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("train",))
     if not tokens:
         raise InvalidInput(f"no training tokens under {args.corpus}")
     train, _test, scaler = build_dataset(tokens, frontend, selection)
@@ -277,9 +238,9 @@ def _cmd_evaluate(args):
 
     frontend, selection, phonemes = _pipeline_pieces(args)
     model = load_model(args.model)
-    tokens = load_corpus_tokens(args.corpus, whitelist=phonemes)
+    tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("test",))
     _train, test, _scaler = build_dataset(tokens, frontend, selection,
-                                          label_names=model.label_names)
+                                          label_names=model.label_names, scaler=model.scaler)
     metrics = evaluate(model, test)
     _echo_config({"command": "evaluate", "model": args.model, "corpus": args.corpus,
                   "feature": args.feature, "frames": args.frames, "seed": args.seed})
@@ -330,7 +291,6 @@ def _cmd_report(args):
 
 
 _COMMANDS = {
-    "extract": _cmd_extract,
     "train": _cmd_train,
     "predict": _cmd_predict,
     "evaluate": _cmd_evaluate,
@@ -347,13 +307,7 @@ def run_cli(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, TooShort) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InvalidInput as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (FormatError, TooShort, InvalidInput, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except VowelkitError as exc:

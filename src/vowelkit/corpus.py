@@ -151,10 +151,11 @@ def phn_path_for(audio_path: str) -> str:
     raise InvalidInput(f"no .phn transcription next to {audio_path}")
 
 
-def load_corpus_tokens(corpus_root, whitelist: Sequence[str] = VOWELS) -> List[PhonemeToken]:
-    """All whitelisted tokens from the train/ and test/ trees."""
+def load_corpus_tokens(corpus_root, whitelist: Sequence[str] = VOWELS,
+                       splits: Sequence[str] = ("train", "test")) -> List[PhonemeToken]:
+    """All whitelisted tokens from the given split trees (train/ and test/ by default)."""
     tokens = []
-    for split in ("train", "test"):
+    for split in splits:
         for audio_path in find_utterances(corpus_root, split):
             rel = os.path.relpath(audio_path, str(corpus_root))
             utt = os.path.splitext(rel)[0].replace(os.sep, "/")

@@ -20,8 +20,8 @@ from .kernels import make_kernel
 from .multiclass import (
     LabeledDataset,
     OvOModel,
+    phoneme_vote,
     predict_ovo_batch,
-    predict_phoneme,
     train_ovo,
 )
 from .preprocessing import ScalerParams, apply_scaler, fit_scaler
@@ -34,7 +34,6 @@ CSV_COLUMNS = [
     "kernel", "feature", "C", "sigma", "K", "method", "frame_acc", "phoneme_acc",
     "train_s", "test_s", "n_train", "n_test", "skipped", "converged_pairs",
 ]
-TIMING_COLUMNS = ("train_s", "test_s")
 
 
 def frontend_for(feature: str, base: FrontendConfig = FrontendConfig()) -> FrontendConfig:
@@ -124,10 +123,12 @@ def _assemble(token_feats, selection, label_names, split):
 
 def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                   selection: SelectionMethod, label_names: Optional[Sequence[str]] = None,
-                  token_feats=None, signal_cache: Optional[dict] = None):
+                  token_feats=None, signal_cache: Optional[dict] = None,
+                  scaler: Optional[ScalerParams] = None):
     """Extract, select and scale; returns (train, test, scaler).
 
-    The scaler is fit on training rows only and applied to both splits.
+    A given fitted scaler is applied to both splits, which may then hold no
+    training rows.  Otherwise the scaler is fit on training rows only.
     Tokens too short for a single frame are skipped and counted.
     """
     if not tokens:
@@ -141,10 +142,11 @@ def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
     parts = {}
     for split in ("train", "test"):
         parts[split] = _assemble(token_feats, selection, label_names, split)
-    x_train = parts["train"][0]
-    if x_train.size == 0:
-        raise InvalidInput("no usable training tokens (all missing or too short)")
-    scaler = fit_scaler(x_train)
+    if scaler is None:
+        x_train = parts["train"][0]
+        if x_train.size == 0:
+            raise InvalidInput("no usable training tokens (all missing or too short)")
+        scaler = fit_scaler(x_train)
 
     datasets = {}
     for split in ("train", "test"):
@@ -170,7 +172,7 @@ def evaluate(model: OvOModel, test: FrameDataset):
     confusion = np.zeros((k, k), dtype=int)
     correct = 0
     for (start, stop), true_label in zip(test.token_spans, test.token_labels):
-        pred = predict_phoneme(model, test.X[start:stop])
+        pred = phoneme_vote(frame_preds[start:stop], model.k)
         confusion[true_label, pred] += 1
         correct += int(pred == true_label)
     phoneme_acc = 100.0 * correct / test.n_tokens
@@ -193,7 +195,6 @@ class ExperimentConfig:
     k_values: Tuple[int, ...] = (3,)
     methods: Tuple[str, ...] = ("middle",)
     kkt_tol: float = 1e-3
-    max_passes: int = 10
     max_iter: int = 0
     seed: int = 0
     workers: int = 1
@@ -252,7 +253,7 @@ def _run_cell(cell: GridCell, datasets, config: ExperimentConfig):
     train, test, scaler = datasets[key]
     kernel = make_kernel(cell.kernel, cell.sigma)
     params = SvmParams(C=cell.C, kernel=kernel, kkt_tol=config.kkt_tol,
-                       max_passes=config.max_passes, max_iter=config.max_iter)
+                       max_iter=config.max_iter)
     t0 = time.perf_counter()
     model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint, scaler=scaler)
     cell.train_s = time.perf_counter() - t0
@@ -337,7 +338,6 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
         "k_values": list(config.k_values),
         "methods": list(config.methods),
         "kkt_tol": config.kkt_tol,
-        "max_passes": config.max_passes,
         "max_iter": config.max_iter,
         "workers": config.workers,
         "seed": config.seed,

@@ -116,22 +116,26 @@ def predict_ovo(model: OvOModel, x: np.ndarray) -> int:
     return int(predict_ovo_batch(model, x[None, :])[0])
 
 
-def predict_phoneme(model: OvOModel, frames: np.ndarray) -> int:
-    """Classify each frame, then majority over frames.
+def phoneme_vote(frame_preds: np.ndarray, k: int) -> int:
+    """Majority over one token's frame predictions.
 
-    A phoneme-level tie goes to whichever class won the temporally middle
-    frame (index floor((n-1)/2)).
+    A tie goes to whichever class won the temporally middle frame (index
+    floor((n-1)/2)) if it is among the tied classes, else to the lowest id.
     """
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 2 or frames.shape[0] == 0:
-        raise InvalidInput("frame matrix must be non-empty")
-    preds = predict_ovo_batch(model, frames)
-    counts = np.bincount(preds, minlength=model.k)
+    counts = np.bincount(frame_preds, minlength=k)
     tied = np.where(counts == counts.max())[0]
     if tied.size == 1:
         return int(tied[0])
-    middle = int(preds[(frames.shape[0] - 1) // 2])
+    middle = int(frame_preds[(frame_preds.size - 1) // 2])
     return middle if middle in tied else int(tied[0])
+
+
+def predict_phoneme(model: OvOModel, frames: np.ndarray) -> int:
+    """Classify each frame, then take the phoneme_vote over frames."""
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 2 or frames.shape[0] == 0:
+        raise InvalidInput("frame matrix must be non-empty")
+    return phoneme_vote(predict_ovo_batch(model, frames), model.k)
 
 
 # --- persistence ------------------------------------------------------------

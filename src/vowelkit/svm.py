@@ -1,9 +1,11 @@
 """Binary soft-margin SVM trained in the dual by sequential minimal optimization.
 
-Platt-style SMO: pairs of multipliers are optimized analytically, the second
-index chosen to maximize |E1 - E2|.  Indefinite kernels (sigmoid) are handled
-by evaluating the clipped objective at both box ends, so training always
-terminates even when no global optimum exists.
+SMO with second-order working-set selection (Fan, Chen & Lin, JMLR 2005):
+a gradient vector is kept, i maximizes the KKT violation and j the second-order
+gain, and one clipped two-variable update follows.  Training stops when the
+violation gap m(alpha) - M(alpha) is at most kkt_tol.  Indefinite kernels
+(sigmoid) replace a non-positive curvature by TAU (Chen, Fan & Lin, IEEE TNN
+2006), so every step still decreases the objective.
 """
 
 from collections import OrderedDict
@@ -16,6 +18,7 @@ from .kernels import KernelSpec, gram_matrix
 
 FULL_GRAM_LIMIT = 4000
 ROW_CACHE_SIZE = 512
+TAU = 1e-12
 
 
 @dataclass
@@ -41,8 +44,7 @@ class SvmParams:
     C: float
     kernel: KernelSpec
     kkt_tol: float = 1e-3
-    alpha_eps: float = 1e-12
-    max_passes: int = 10
+    max_passes: int = 10  # accepted for compatibility; the solver does not read it
     max_iter: int = 0  # 0 means 100 * l, fixed at train time
 
     def __post_init__(self):
@@ -62,6 +64,7 @@ class BinaryModel:
     converged: bool = True
     n_iter: int = 0
     C: float = field(default=0.0)
+    gap: float = float("nan")  # final m(alpha) - M(alpha); not stored in model files
 
     def __post_init__(self):
         self.support_vectors = np.asarray(self.support_vectors, dtype=float)
@@ -101,140 +104,66 @@ class _KernelCache:
 
 
 def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
-    """Solve the dual within params.kkt_tol; see module docstring.
+    """Solve the dual until m(alpha) - M(alpha) <= params.kkt_tol; see module docstring.
 
-    Stops after max_passes consecutive full sweeps change no multiplier by
-    more than alpha_eps, or after max_iter single-point examinations
-    (the model is then flagged converged=False but remains usable).
+    Each update moves the pair (i, j) chosen by second-order working-set
+    selection.  After max_iter updates the model is flagged converged=False
+    but remains usable; its gap tells how far from optimal it stopped.
     """
     X, y = problem.X, problem.y
     l = X.shape[0]
     C = float(params.C)
-    tol = params.kkt_tol
-    eps = params.alpha_eps
     max_iter = params.max_iter if params.max_iter > 0 else 100 * l
 
     cache = _KernelCache(X, params.kernel)
+    if cache.full is not None:
+        diag = np.diag(cache.full)
+    else:
+        diag = np.array([gram_matrix(params.kernel, X[t : t + 1])[0, 0] for t in range(l)])
     alpha = np.zeros(l)
-    diag = np.array([cache.row(i)[i] for i in range(l)]) if cache.full is None else np.diag(cache.full)
-    state = {"b": 0.0, "E": -y.copy(), "it": 0}  # f = 0 initially, so E = -y
+    v = y.copy()  # -y * gradient of 0.5 a'Qa - e'a with Q = yy'K; the gradient is -1 at a = 0
+    pos = y > 0
+    up, low = pos.copy(), ~pos  # index sets I_up and I_low at alpha = 0
+    n_iter = 0
+    while True:
+        v_up = np.where(up, v, -np.inf)
+        i = int(v_up.argmax())
+        v_low = np.where(low, v, np.inf)
+        m, M = v_up[i], v_low.min()
+        gap = float(m - M)
+        if gap <= params.kkt_tol or n_iter >= max_iter:
+            break
+        k_i = cache.row(i)
+        b = np.maximum(m - v_low, 0.0)  # zero outside I_low and wherever v >= m
+        a = diag - 2.0 * k_i
+        a += diag[i]
+        a = np.where(a > 0.0, a, TAU)
+        j = int((b * b / a).argmax())
+        # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
+        cap_i = C - alpha[i] if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else C - alpha[j]
+        t = min(b[j] / a[j], cap_i, cap_j)
+        alpha[i] = (C if pos[i] else 0.0) if t == cap_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else C) if t == cap_j else alpha[j] - y[j] * t
+        v -= t * (k_i - cache.row(j))  # the gradient moves by t y (K_i - K_j), and y y = 1
+        for s in (i, j):
+            above, below = alpha[s] > 0.0, alpha[s] < C
+            up[s], low[s] = (below, above) if pos[s] else (above, below)
+        n_iter += 1
 
-    def take_step(i1, i2):
-        if i1 == i2:
-            return False
-        a1, a2 = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        E = state["E"]
-        E1, E2 = E[i1], E[i2]
-        s = y1 * y2
-        if s > 0:
-            L, H = max(0.0, a1 + a2 - C), min(C, a1 + a2)
-        else:
-            L, H = max(0.0, a2 - a1), min(C, C + a2 - a1)
-        if L >= H:
-            return False
-        row1 = cache.row(i1)
-        row2 = cache.row(i2)
-        k11, k12, k22 = diag[i1], row1[i2], diag[i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 0.0:
-            a2_new = a2 + y2 * (E1 - E2) / eta
-            a2_new = min(max(a2_new, L), H)
-        else:
-            # indefinite kernel: pick the better box end of the clipped objective
-            f1 = y1 * (E1 + state["b"]) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (E2 + state["b"]) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - L)
-            h1 = a1 + s * (a2 - H)
-            obj_l = l1 * f1 + L * f2 + 0.5 * l1 * l1 * k11 + 0.5 * L * L * k22 + s * L * l1 * k12
-            obj_h = h1 * f1 + H * f2 + 0.5 * h1 * h1 * k11 + 0.5 * H * H * k22 + s * H * h1 * k12
-            if obj_l < obj_h - 1e-12:
-                a2_new = L
-            elif obj_l > obj_h + 1e-12:
-                a2_new = H
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < eps * (a2_new + a2 + eps):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        # snap near-boundary values so support vectors are crisp
-        if a1_new < 1e-10:
-            a1_new = 0.0
-        elif a1_new > C - 1e-10:
-            a1_new = C
-        da1, da2 = a1_new - a1, a2_new - a2
-        b = state["b"]
-        b1 = b - E1 - y1 * da1 * k11 - y2 * da2 * k12
-        b2 = b - E2 - y1 * da1 * k12 - y2 * da2 * k22
-        in1 = 0.0 < a1_new < C
-        in2 = 0.0 < a2_new < C
-        if in1 and in2:
-            b_new = 0.5 * (b1 + b2)
-        elif in1:
-            b_new = b1
-        elif in2:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        alpha[i1], alpha[i2] = a1_new, a2_new
-        state["E"] = E + y1 * da1 * row1 + y2 * da2 * row2 + (b_new - b)
-        state["b"] = b_new
-        return True
-
-    def examine(i2):
-        E = state["E"]
-        a2 = alpha[i2]
-        r2 = E[i2] * y[i2]
-        if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0.0)):
-            return False
-        non_bound = np.where((alpha > 0.0) & (alpha < C))[0]
-        if non_bound.size > 1:
-            i1 = int(non_bound[np.argmax(np.abs(E[non_bound] - E[i2]))])
-            if take_step(i1, i2):
-                return True
-        for i1 in non_bound:
-            if take_step(int(i1), i2):
-                return True
-        for i1 in range(l):
-            if take_step(i1, i2):
-                return True
-        return False
-
-    passes_quiet = 0
-    examine_all = True
-    converged = False
-    while state["it"] < max_iter:
-        alpha_before = alpha.copy()
-        indices = range(l) if examine_all else np.where((alpha > 0.0) & (alpha < C))[0]
-        changed = 0
-        for i2 in indices:
-            changed += examine(int(i2))
-            state["it"] += 1
-            if state["it"] >= max_iter:
-                break
-        if examine_all:
-            if np.abs(alpha - alpha_before).max() <= eps:
-                passes_quiet += 1
-                if passes_quiet >= params.max_passes:
-                    converged = True
-                    break
-            else:
-                passes_quiet = 0
-                if changed:
-                    examine_all = False
-        elif changed == 0:
-            examine_all = True
-
+    free = (alpha > 0.0) & (alpha < C)
+    bias = float(v[free].mean()) if free.any() else float(0.5 * (m + M))
     sv = alpha > 0.0
     return BinaryModel(
         support_vectors=X[sv],
         sv_alphas=alpha[sv],
         sv_labels=y[sv],
-        bias=state["b"],
+        bias=bias,
         kernel=params.kernel,
-        converged=converged,
-        n_iter=state["it"],
+        converged=gap <= params.kkt_tol,
+        n_iter=n_iter,
         C=C,
+        gap=gap,
     )
 
 

@@ -1,9 +1,9 @@
-import json
 import os
+import shutil
 
-import numpy as np
 import pytest
 
+from conftest import SYNTH_FORMANTS, make_corpus
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
 
 
@@ -107,18 +107,36 @@ class TestEvaluate:
         assert "frame_accuracy:" in out
         assert "phoneme_accuracy:" in out
 
+    def test_uses_model_scaler_not_train_split(self, tmp_path, capsys):
+        # noisy enough that a scaler refit on one training token per class
+        # would cost accuracy
+        formants = {k: SYNTH_FORMANTS[k] for k in ("aa", "iy", "uw")}
+        full = make_corpus(tmp_path / "full", formants=formants, tokens_per_class=24,
+                           train_frac=0.75, noise=0.5, jitter=0.05, seed=3)
+        cut = tmp_path / "cut"
+        shutil.copytree(os.path.join(full, "test"), cut / "test")
+        for label in formants:
+            os.makedirs(cut / "train" / label)
+            for ext in (".wav", ".phn"):
+                shutil.copy(os.path.join(full, "train", label, "utt000" + ext),
+                            cut / "train" / label)
+        model = tmp_path / "m.svmodel"
+        assert run_cli(["train", "--corpus", full, "--out", str(model),
+                        "--kernel", "rbf", "--sigma", "0.5", "--C", "10"]) == EXIT_OK
 
-class TestExtract:
-    def test_writes_feature_cache(self, small_corpus, tmp_path, capsys):
-        out = tmp_path / "cache.npz"
-        code = run_cli(["extract", "--corpus", str(small_corpus), "--out", str(out)])
+        def accuracies(corpus):
+            capsys.readouterr()
+            assert run_cli(["evaluate", "--model", str(model),
+                            "--corpus", str(corpus)]) == EXIT_OK
+            return [l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith(("frame_accuracy:", "phoneme_accuracy:", "n_test_tokens:"))]
+
+        assert accuracies(cut) == accuracies(full)
+
+    def test_needs_no_train_split(self, trained_model, small_corpus, tmp_path):
+        shutil.copytree(os.path.join(small_corpus, "test"), tmp_path / "test")
+        code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path)])
         assert code == EXIT_OK
-        data = np.load(out)
-        meta = json.loads(str(data["meta"]))
-        assert meta["feature"] == "mfcc36"
-        kept = [i for i, m in enumerate(meta["tokens"]) if not m["skipped"]]
-        assert len(kept) == 72
-        assert data[f"feat_{kept[0]}"].shape == (7, 36)
 
 
 class TestGridAndReport:

@@ -18,9 +18,10 @@ from vowelkit.experiment import (
     report_to_markdown,
     selection_for,
 )
+import vowelkit.multiclass as multiclass
 from vowelkit.frame_select import MiddleFrames
-from vowelkit.kernels import Rbf
-from vowelkit.multiclass import train_ovo
+from vowelkit.kernels import Rbf, Sigmoid
+from vowelkit.multiclass import predict_ovo_batch, predict_phoneme, train_ovo
 from vowelkit.svm import SvmParams
 
 
@@ -87,21 +88,60 @@ class TestBuildDataset:
         refit = fit_scaler(all_rows)
         assert not np.allclose(refit.mins, scaler.mins)
 
+    def test_given_scaler_needs_no_training_rows(self, tmp_path):
+        tokens = make_token_dir(
+            tmp_path,
+            [("a", "aa", 1024, "train"), ("b", "iy", 1024, "train"),
+             ("c", "aa", 4096, "test"), ("d", "iy", 4096, "test")],
+        )
+        frontend, selection = frontend_for("mfcc36"), MiddleFrames(3)
+        _train, full_test, scaler = build_dataset(tokens, frontend, selection)
+        train, test, same = build_dataset(
+            [t for t in tokens if t.split == "test"], frontend, selection,
+            label_names=["aa", "iy"], scaler=scaler,
+        )
+        assert same is scaler
+        assert train.n_tokens == 0
+        assert np.array_equal(test.X, full_test.X)
+
     def test_empty_tokens_rejected(self):
         with pytest.raises(InvalidInput):
             build_dataset([], frontend_for("mfcc36"), MiddleFrames(3))
 
 
 class TestEvaluate:
-    def train_small(self, small_corpus, selection=None):
+    def train_small(self, small_corpus, selection=None, params=None):
         tokens = load_corpus_tokens(small_corpus)
         selection = selection or MiddleFrames(3)
         train, test, scaler = build_dataset(tokens, frontend_for("mfcc36"), selection)
         model = train_ovo(
-            train.as_labeled(), SvmParams(C=10.0, kernel=Rbf(0.5)),
+            train.as_labeled(), params or SvmParams(C=10.0, kernel=Rbf(0.5)),
             fingerprint=train.fingerprint, scaler=scaler,
         )
         return model, train, test
+
+    def test_predicts_each_test_row_once(self, small_corpus, monkeypatch):
+        # a weak model with an even frame count, so errors and vote ties occur
+        model, _train, test = self.train_small(
+            small_corpus, MiddleFrames(4), SvmParams(C=1.0, kernel=Sigmoid(0.5, -1.0)))
+        frame_preds = predict_ovo_batch(model, test.X)
+        expected = np.zeros((3, 3), dtype=int)
+        for (start, stop), label in zip(test.token_spans, test.token_labels):
+            expected[label, predict_phoneme(model, test.X[start:stop])] += 1
+        rows = []
+        votes_and_scores = multiclass._votes_and_scores
+
+        def counting(model, X):
+            rows.append(X.shape[0])
+            return votes_and_scores(model, X)
+
+        monkeypatch.setattr(multiclass, "_votes_and_scores", counting)
+        metrics = evaluate(model, test)
+        assert sum(rows) == test.X.shape[0]
+        assert np.array_equal(metrics["confusion"], expected)
+        assert 0 < np.trace(expected) < test.n_tokens
+        assert metrics["phoneme_accuracy"] == 100.0 * np.trace(expected) / test.n_tokens
+        assert metrics["frame_accuracy"] == 100.0 * np.mean(frame_preds == test.frame_labels)
 
     def test_separable_training_accuracy(self, small_corpus):
         model, train, test = self.train_small(small_corpus)

@@ -3,7 +3,8 @@ import pytest
 
 from oracles import qp_dual_optimum
 from vowelkit.errors import InvalidInput
-from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix
+import vowelkit.svm as svm
+from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix, psd_check
 from vowelkit.svm import (
     BinaryModel,
     BinaryProblem,
@@ -189,3 +190,67 @@ class TestSeparableSanity:
         test_y = np.concatenate([-np.ones(100), np.ones(100)])
         test_pred = np.where(decision_values(model, test_x) >= 0, 1.0, -1.0)
         assert np.mean(test_pred == test_y) >= 0.99
+
+
+def _alphas_on_rows(model, x):
+    """Each training row's multiplier; zero for rows that are not support vectors."""
+    alpha = np.zeros(x.shape[0])
+    for vec, a in zip(model.support_vectors, model.sv_alphas):
+        alpha[np.where((x == vec).all(axis=1))[0][0]] = a
+    return alpha
+
+
+class TestStoppingRule:
+    def test_converged_exactly_when_gap_within_tol(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for trial in range(12):
+            x = rng.normal(size=(30, 3))
+            y = np.where(x[:, 0] + 0.5 * rng.normal(size=30) > 0, 1.0, -1.0)
+            y[0], y[1] = -1.0, 1.0
+            params = SvmParams(C=[1.0, 100.0][trial % 2], kernel=Rbf(1.0), kkt_tol=1e-3,
+                               max_iter=[5, 0, 20][trial % 3])
+            model = smo_train(BinaryProblem(x, y), params)
+            assert model.converged == (model.gap <= params.kkt_tol)
+            assert model.n_iter <= (params.max_iter or 100 * 30)
+            seen.add(model.converged)
+        assert seen == {True, False}
+
+    def test_indefinite_sigmoid_converges_and_meets_kkt(self):
+        # large C with an indefinite Gram, where a solve can use up its update budget
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, size=(100, 36))
+        y = np.where(x[:, :18].sum(1) + rng.normal(0, 1, 100) > x[:, 18:].sum(1), 1.0, -1.0)
+        kernel = Sigmoid(0.027, 0.0)
+        is_psd, _min_eig = psd_check(gram_matrix(kernel, x))
+        assert not is_psd
+        c = 10000.0
+        params = SvmParams(C=c, kernel=kernel)
+        model = smo_train(BinaryProblem(x, y), params)
+        assert model.converged
+        assert model.n_iter <= 100 * x.shape[0]
+        margins = y * decision_values(model, x)
+        alpha = _alphas_on_rows(model, x)
+        tol = params.kkt_tol + 1e-9
+        assert np.all(margins[alpha == 0.0] >= 1.0 - tol)
+        inside = (alpha > 0.0) & (alpha < c)
+        assert np.all(np.abs(margins[inside] - 1.0) <= tol)
+        assert np.all(margins[alpha >= c] <= 1.0 + tol)
+
+
+class TestRowCachePath:
+    @pytest.mark.parametrize("kernel", [Rbf(0.5), Polynomial(0.5, 1.0, 3), Sigmoid(0.5, -1.0)])
+    def test_matches_full_gram(self, kernel, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(60, 3))
+        y = np.where(x[:, 0] - x[:, 1] + 0.3 * rng.normal(size=60) > 0, 1.0, -1.0)
+        problem = BinaryProblem(x, y)
+        params = SvmParams(C=10.0, kernel=kernel)
+        full = smo_train(problem, params)
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", 10)
+        monkeypatch.setattr(svm, "ROW_CACHE_SIZE", 4)
+        rows = smo_train(problem, params)
+        assert np.array_equal(rows.support_vectors, full.support_vectors)
+        assert np.allclose(rows.sv_alphas, full.sv_alphas, rtol=0.0, atol=1e-8)
+        assert rows.bias == pytest.approx(full.bias, abs=1e-8)
+        assert rows.converged and full.converged
