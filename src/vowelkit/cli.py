@@ -6,6 +6,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .corpus import VOWELS, load_audio, load_phn
 from .errors import FormatError, InvalidInput, TooShort, VowelkitError
 from .experiment import (
@@ -15,13 +17,14 @@ from .experiment import (
     config_fingerprint,
     emit_report,
     evaluate,
+    extract_token_features,
     frontend_for,
     grid_search,
     selection_for,
 )
 from .frontend import FrontendConfig
 from .kernels import make_kernel
-from .multiclass import load_model, predict_phoneme, save_model, train_ovo
+from .multiclass import load_model, phoneme_vote, predict_ovo_batch, save_model, train_ovo
 from .preprocessing import apply_scaler
 from .svm import SvmParams
 
@@ -216,20 +219,17 @@ def _cmd_predict(args):
     _echo_config({"command": "predict", "model": args.model, "audio": args.audio,
                   "phn": args.phn, "feature": args.feature, "frames": args.frames,
                   "seed": args.seed})
-    from .frontend import RawSignal, extract_features
     from .frame_select import select_frames
 
-    for token in tokens:
-        piece = RawSignal(signal.samples[token.begin : token.end], signal.sample_rate)
-        try:
-            feats = extract_features(piece, frontend)
-        except TooShort:
-            print(f"{token.utterance_id} {token.begin} {token.end} {token.label} -")
-            continue
-        picked = select_frames(feats, selection)
-        scaled = apply_scaler(model.scaler, picked) if model.scaler else picked
-        pred = model.label_names[predict_phoneme(model, scaled)]
-        print(f"{token.utterance_id} {token.begin} {token.end} {token.label} {pred}")
+    # one batch over every token's frames; the front end skips a token by giving None
+    token_feats = extract_token_features(tokens, frontend, {args.audio: signal})
+    frames = [select_frames(feats, selection) for _t, feats in token_feats if feats is not None]
+    x = np.vstack(frames or [np.zeros((0, frontend.dim))])
+    preds = predict_ovo_batch(model, apply_scaler(model.scaler, x) if model.scaler else x)
+    per_token = iter(np.split(preds, np.cumsum([f.shape[0] for f in frames])[:-1]))
+    for token, feats in token_feats:
+        label = "-" if feats is None else model.label_names[phoneme_vote(next(per_token), model.k)]
+        print(f"{token.utterance_id} {token.begin} {token.end} {token.label} {label}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import VOWELS, PhonemeToken, load_audio, load_corpus_tokens
-from .errors import InvalidInput, TooShort, VowelkitError
+from .errors import DegenerateSpectrum, InvalidInput, TooShort, VowelkitError
 from .frame_select import Fcm, MiddleFrames, SelectionMethod, select_frames
 from .frontend import FrontendConfig, RawSignal, extract_features
 from .kernels import make_kernel
@@ -79,7 +79,7 @@ class FrameDataset:
 
 def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                            signal_cache: Optional[dict] = None):
-    """Per-token feature matrices (None for tokens shorter than one frame)."""
+    """Per-token feature matrices (None for a too-short token or a degenerate spectrum)."""
     cache = {} if signal_cache is None else signal_cache
     out = []
     for token in tokens:
@@ -94,7 +94,7 @@ def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendCon
         piece = RawSignal(signal.samples[token.begin : token.end], signal.sample_rate)
         try:
             feats = extract_features(piece, frontend)
-        except (TooShort, VowelkitError):
+        except (TooShort, DegenerateSpectrum):
             feats = None
         out.append((token, feats))
     return out

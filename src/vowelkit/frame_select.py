@@ -96,15 +96,16 @@ def fcm_cluster(
     rng = np.random.default_rng(seed)
     centers = features[rng.choice(n, size=c, replace=False)].copy()
     u = None
+    u_next, _ = _memberships(features, centers, m)
     objective = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        u, _ = _memberships(features, centers, m)
+        u = u_next  # the memberships of the current centers, computed once
         um = u**m
         new_centers = (um.T @ features) / um.sum(axis=0)[:, None]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
-        _, d2 = _memberships(features, centers, m)
+        u_next, d2 = _memberships(features, centers, m)
         objective = float((um * d2).sum())
         if shift < tol:
             break

@@ -5,6 +5,7 @@ out.  Frames are 256 samples with a 128-sample hop by default, which at
 16 kHz gives 16 ms frames at 125 frames per second.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,10 +123,11 @@ def mel_from_scale(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=float) / 2595.0) - 1.0)
 
 
+@functools.lru_cache()
 def mel_filter_weights(n_fft_bins: int, sample_rate: int, n_filters: int) -> np.ndarray:
     """Triangular filters, centers equally spaced in mel between 0 and Nyquist.
 
-    Returns an (n_filters, n_fft_bins) weight matrix over half-spectrum bins.
+    Returns a cached, read-only (n_filters, n_fft_bins) weight matrix over half-spectrum bins.
     """
     if n_filters < 2:
         raise InvalidInput("need at least 2 mel filters")
@@ -138,6 +140,7 @@ def mel_filter_weights(n_fft_bins: int, sample_rate: int, n_filters: int) -> np.
         up = (bin_freqs - lo) / (mid - lo)
         down = (hi - bin_freqs) / (hi - mid)
         weights[m] = np.clip(np.minimum(up, down), 0.0, None)
+    weights.flags.writeable = False
     return weights
 
 
@@ -182,13 +185,16 @@ def _critical_band_curve(db):
     return psi
 
 
+@functools.lru_cache()
 def bark_filter_weights(n_fft_bins: int, sample_rate: int) -> np.ndarray:
-    """Critical-band masking filters with centers 1 Bark apart over 0..Nyquist."""
+    """Critical-band masking filters 1 Bark apart over 0..Nyquist; cached, read-only."""
     nyquist = sample_rate / 2.0
     bin_barks = bark_scale(np.linspace(0.0, nyquist, n_fft_bins))
     n_bands = int(np.floor(bark_scale(nyquist))) + 1
     centers = np.arange(n_bands, dtype=float)
-    return np.stack([_critical_band_curve(bin_barks - c) for c in centers])
+    weights = np.stack([_critical_band_curve(bin_barks - c) for c in centers])
+    weights.flags.writeable = False
+    return weights
 
 
 def equal_loudness(freq_hz):

@@ -1,15 +1,16 @@
 """One-against-one multiclass SVM with majority voting and model persistence."""
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput
-from .kernels import KernelSpec, Linear, kernel_from_dict, kernel_to_dict
+from .kernels import KernelSpec, Linear, gram_matrix, kernel_from_dict, kernel_to_dict
 from .preprocessing import ScalerParams
-from .svm import BinaryModel, BinaryProblem, SvmParams, decision_values, smo_train
+from .svm import BinaryModel, BinaryProblem, SvmParams, smo_train
 
 MODEL_MAGIC = "vowelkit-svmodel"
 MODEL_VERSION = 1
@@ -75,14 +76,35 @@ def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
     )
 
 
+def _model_kernel(model: OvOModel) -> KernelSpec:
+    """The one kernel of all pair classifiers; a model file stores only one."""
+    kernels = {b.kernel for b in model.binaries}
+    if len(kernels) > 1:
+        raise InvalidInput("the pair classifiers use different kernels")
+    return kernels.pop() if kernels else Linear()
+
+
 def _votes_and_scores(model: OvOModel, X: np.ndarray):
-    """Per-row vote counts and |f|-sums per class over all pair classifiers."""
-    n = X.shape[0]
-    k = model.k
-    votes = np.zeros((n, k), dtype=int)
-    strength = np.zeros((n, k))
-    for (i, j), binary in zip(model.pair_index, model.binaries):
-        f = decision_values(binary, X)
+    """Per-row vote counts and |f|-sums per class over all pair classifiers.
+
+    All decision values come from one kernel matrix against the distinct
+    support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y.
+    """
+    kernel = _model_kernel(model)
+    index, rows, cols, vals = {}, [], [], []  # index: vec.tobytes() -> its row of U
+    for p, binary in enumerate(model.binaries):
+        if binary.support_vectors.size and binary.support_vectors.shape[1] != X.shape[1]:
+            raise InvalidInput("feature dimension mismatch")
+        rows += [index.setdefault(vec.tobytes(), len(index)) for vec in binary.support_vectors]
+        cols += [p] * binary.sv_alphas.size
+        vals += list(binary.sv_alphas * binary.sv_labels)
+    U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), X.shape[1])
+    coef = np.zeros((len(index), len(model.binaries)))
+    np.add.at(coef, (rows, cols), vals)  # adds up a vector repeated within one pair
+    F = gram_matrix(kernel, X, U) @ coef + np.array([b.bias for b in model.binaries])
+    votes = np.zeros((X.shape[0], model.k), dtype=int)
+    strength = np.zeros((X.shape[0], model.k))
+    for (i, j), f in zip(model.pair_index, F.T):
         winner_i = f >= 0.0
         votes[winner_i, i] += 1
         votes[~winner_i, j] += 1
@@ -97,16 +119,8 @@ def predict_ovo_batch(model: OvOModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise InvalidInput("X must be a matrix")
     votes, strength = _votes_and_scores(model, X)
-    out = np.empty(X.shape[0], dtype=int)
-    for row in range(X.shape[0]):
-        v = votes[row]
-        tied = np.where(v == v.max())[0]
-        if tied.size == 1:
-            out[row] = tied[0]
-        else:
-            s = strength[row, tied]
-            out[row] = int(tied[np.argmax(s)])  # argmax keeps the lowest id on ties
-    return out
+    top = votes == votes.max(axis=1, keepdims=True)
+    return np.argmax(np.where(top, strength, -np.inf), axis=1)  # first maximum: lowest id
 
 
 def predict_ovo(model: OvOModel, x: np.ndarray) -> int:
@@ -145,6 +159,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _number(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"bad number {text!r} in {what}") from None
+    if not math.isfinite(value):
+        raise FormatError(f"non-finite number {text!r} in {what}")
+    return value
+
+
 def _kernel_line(spec: KernelSpec) -> str:
     d = kernel_to_dict(spec)
     parts = [d.pop("kind")]
@@ -161,47 +185,50 @@ def _parse_kernel_line(line: str) -> KernelSpec:
     data = {"kind": fields[0]}
     for item in fields[1:]:
         key, _, val = item.partition("=")
-        data[key] = float(val)
+        data[key] = _number(val, "kernel line")
     return kernel_from_dict(data)
 
 
 def save_model(model: OvOModel, path) -> None:
     """Versioned text format; floats carry 17 significant digits."""
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    lines.append("labels " + " ".join(model.label_names))
-    lines.append("kernel " + _kernel_line(model.binaries[0].kernel if model.binaries else Linear()))
-    lines.append("fingerprint " + (model.fingerprint or "-"))
-    if model.scaler is not None:
-        lines.append("scaler_min " + " ".join(_fmt(v) for v in model.scaler.mins))
-        lines.append("scaler_max " + " ".join(_fmt(v) for v in model.scaler.maxs))
-    else:
-        lines.append("scaler none")
-    lines.append(f"pairs {len(model.pair_index)}")
-    for (i, j), binary in zip(model.pair_index, model.binaries):
-        lines.append(
-            f"pair {i} {j} bias={_fmt(binary.bias)} C={_fmt(binary.C)} "
-            f"converged={int(binary.converged)} nsv={binary.sv_alphas.size}"
-        )
-        for a, yl, vec in zip(binary.sv_alphas, binary.sv_labels, binary.support_vectors):
-            lines.append(
-                "sv " + _fmt(a) + " " + ("+1" if yl > 0 else "-1") + " "
-                + " ".join(_fmt(v) for v in vec)
-            )
-    lines.append("end")
+    kernel = _model_kernel(model)
+    texts = {}  # vec.tobytes() -> its text, so a vector shared by pairs is formatted once
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
+        fh.write("labels " + " ".join(model.label_names) + "\n")
+        fh.write("kernel " + _kernel_line(kernel) + "\n")
+        fh.write("fingerprint " + (model.fingerprint or "-") + "\n")
+        if model.scaler is not None:
+            fh.write("scaler_min " + " ".join(_fmt(v) for v in model.scaler.mins) + "\n")
+            fh.write("scaler_max " + " ".join(_fmt(v) for v in model.scaler.maxs) + "\n")
+        else:
+            fh.write("scaler none\n")
+        fh.write(f"pairs {len(model.pair_index)}\n")
+        for (i, j), binary in zip(model.pair_index, model.binaries):
+            fh.write(f"pair {i} {j} bias={_fmt(binary.bias)} C={_fmt(binary.C)} "
+                     f"converged={int(binary.converged)} nsv={binary.sv_alphas.size}\n")
+            for a, yl, vec in zip(binary.sv_alphas, binary.sv_labels, binary.support_vectors):
+                key = vec.tobytes()
+                if key not in texts:
+                    texts[key] = " ".join(_fmt(v) for v in vec)
+                fh.write(f"sv {_fmt(a)} {'+1' if yl > 0 else '-1'} {texts[key]}\n")
+        fh.write("end\n")
 
 
 def load_model(path) -> OvOModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    it = iter(lines)
+    """Read a model file; any malformed or non-finite field raises FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:  # universal newlines: \r\n reads as \n
+        return _read_model(fh)
 
+
+def _read_model(lines) -> OvOModel:
     def next_line(expect=None):
         try:
-            line = next(it)
+            line = next(lines).rstrip("\n")
         except StopIteration:
             raise FormatError("truncated model file") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"model file is not UTF-8 text: {exc}") from None
         if expect is not None and not line.startswith(expect + " "):
             raise FormatError(f"expected {expect!r} line, got {line!r}")
         return line
@@ -209,19 +236,17 @@ def load_model(path) -> OvOModel:
     header = next_line().split()
     if len(header) != 2 or header[0] != MODEL_MAGIC:
         raise FormatError("not a vowelkit model file")
-    if int(header[1]) != MODEL_VERSION:
+    if header[1] != str(MODEL_VERSION):
         raise FormatError(f"unsupported model version {header[1]}")
     label_names = next_line("labels").split()[1:]
     kernel = _parse_kernel_line(next_line("kernel").split(" ", 1)[1])
     fingerprint = next_line("fingerprint").split(" ", 1)[1]
-    if fingerprint == "-":
-        fingerprint = ""
     scaler_line = next_line()
     if scaler_line == "scaler none":
         scaler = None
     elif scaler_line.startswith("scaler_min "):
-        mins = np.array([float(v) for v in scaler_line.split()[1:]])
-        maxs = np.array([float(v) for v in next_line("scaler_max").split()[1:]])
+        mins = [_number(v, "scaler_min") for v in scaler_line.split()[1:]]
+        maxs = [_number(v, "scaler_max") for v in next_line("scaler_max").split()[1:]]
         scaler = ScalerParams(mins, maxs)
     else:
         raise FormatError(f"expected scaler block, got {scaler_line!r}")
@@ -229,6 +254,8 @@ def load_model(path) -> OvOModel:
         n_pairs = int(next_line("pairs").split()[1])
     except ValueError as exc:
         raise FormatError("bad pair count") from exc
+    dim = scaler.dim if scaler is not None else None
+    vectors = {}  # vector text -> parsed vector, so a shared vector is parsed once
     pair_index = []
     binaries = []
     for _ in range(n_pairs):
@@ -236,39 +263,34 @@ def load_model(path) -> OvOModel:
         try:
             i, j = int(fields[1]), int(fields[2])
             attrs = dict(f.split("=", 1) for f in fields[3:])
-            bias = float(attrs["bias"])
-            c_val = float(attrs["C"])
+            bias = _number(attrs["bias"], "pair line")
+            c_val = _number(attrs["C"], "pair line")
             converged = bool(int(attrs["converged"]))
             nsv = int(attrs["nsv"])
+            if i == j or nsv < 0 or not {i, j} <= set(range(len(label_names))):
+                raise ValueError
         except (KeyError, ValueError, IndexError) as exc:
             raise FormatError(f"bad pair line: {fields!r}") from exc
         alphas, labels, vecs = [], [], []
         for _ in range(nsv):
-            sv_fields = next_line("sv").split()
-            alphas.append(float(sv_fields[1]))
-            labels.append(float(sv_fields[2]))
-            vecs.append([float(v) for v in sv_fields[3:]])
+            fields = next_line("sv").split(None, 3)  # sv, alpha, label, vector text
+            if len(fields) != 4 or fields[2] not in ("+1", "-1"):
+                raise FormatError(f"bad sv line: {fields[:3]!r}")
+            if fields[3] not in vectors:
+                vec = np.array([_number(v, "sv line") for v in fields[3].split()])
+                dim = vec.size if dim is None else dim
+                if vec.size != dim:
+                    raise FormatError(f"support vector of dimension {vec.size}, expected {dim}")
+                vectors[fields[3]] = vec
+            alphas.append(_number(fields[1], "sv line"))
+            labels.append(1.0 if fields[2] == "+1" else -1.0)
+            vecs.append(vectors[fields[3]])
         pair_index.append((i, j))
-        dim = len(vecs[0]) if vecs else 0
-        binaries.append(
-            BinaryModel(
-                support_vectors=np.array(vecs, dtype=float).reshape(nsv, dim),
-                sv_alphas=np.array(alphas),
-                sv_labels=np.array(labels),
-                bias=bias,
-                kernel=kernel,
-                converged=converged,
-                C=c_val,
-            )
-        )
+        binaries.append(BinaryModel(np.array(vecs, dtype=float).reshape(nsv, dim or 0), alphas,
+                                    labels, bias, kernel, converged=converged, C=c_val))
     if next_line() != "end":
         raise FormatError("missing end marker")
     not_converged = [p for p, b in zip(pair_index, binaries) if not b.converged]
-    return OvOModel(
-        label_names=label_names,
-        pair_index=pair_index,
-        binaries=binaries,
-        scaler=scaler,
-        fingerprint=fingerprint,
-        diagnostics={"not_converged": not_converged},
-    )
+    return OvOModel(label_names, pair_index, binaries, scaler,
+                    "" if fingerprint == "-" else fingerprint,
+                    diagnostics={"not_converged": not_converged})

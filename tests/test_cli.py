@@ -1,10 +1,18 @@
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from conftest import SYNTH_FORMANTS, make_corpus
+from conftest import SYNTH_FORMANTS, make_corpus, synth_token, write_wav
+from test_multiclass import MALFORMED, write_malformed
+from vowelkit import cli, experiment, frontend
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
+from vowelkit.errors import DegenerateSpectrum, TooShort
+from vowelkit.experiment import frontend_for, selection_for
+from vowelkit.frame_select import select_frames
+from vowelkit.multiclass import load_model, predict_phoneme
+from vowelkit.preprocessing import apply_scaler
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +103,98 @@ class TestPredict:
             "--frames", "middle:5",
         ])
         assert code == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def utterance(tmp_path_factory):
+    """One WAV holding nine tokens of three classes and a token too short to frame."""
+    rng = np.random.default_rng(30)
+    labels = ["aa", "iy", "uw"] * 3
+    pieces = [synth_token(rng, *SYNTH_FORMANTS[label], noise=0.5, jitter=0.1)
+              for label in labels]
+    base = tmp_path_factory.mktemp("utterance") / "utt"
+    write_wav(str(base) + ".wav", np.concatenate(pieces + [np.zeros(100)]))
+    spans = [(n * 1024, (n + 1) * 1024, label) for n, label in enumerate(labels)]
+    spans.append((9 * 1024, 9 * 1024 + 100, "aa"))
+    with open(str(base) + ".phn", "w") as fh:
+        fh.writelines(f"{b} {e} {label}\n" for b, e, label in spans)
+    return str(base) + ".wav", str(base) + ".phn", spans
+
+
+def _token_lines(out):
+    return [l for l in out.splitlines() if l and not l.startswith("#")]
+
+
+class TestPredictUtterance:
+    def test_one_batch_matches_per_token_predict(self, trained_model, utterance, capsys,
+                                                 monkeypatch):
+        wav, phn, spans = utterance
+        calls = []
+        batch = cli.predict_ovo_batch
+
+        def counting(model, X):
+            calls.append(X.shape[0])
+            return batch(model, X)
+
+        monkeypatch.setattr(cli, "predict_ovo_batch", counting)
+        assert run_cli(["predict", "--model", str(trained_model), "--audio", wav,
+                        "--phn", phn]) == EXIT_OK
+        assert calls == [27]  # nine tokens of three frames; the short token is skipped
+        model = load_model(trained_model)
+        signal = cli.load_audio(wav)
+        expected = []
+        for begin, end, label in spans:
+            piece = frontend.RawSignal(signal.samples[begin:end], signal.sample_rate)
+            try:
+                feats = frontend.extract_features(piece, frontend_for("mfcc36"))
+            except TooShort:
+                expected.append(f"utt {begin} {end} {label} -")
+                continue
+            picked = apply_scaler(model.scaler, select_frames(feats, selection_for("middle", 3)))
+            pred = model.label_names[predict_phoneme(model, picked)]
+            expected.append(f"utt {begin} {end} {label} {pred}")
+        assert _token_lines(capsys.readouterr().out) == expected
+
+    def test_degenerate_token_prints_dash(self, trained_model, utterance, capsys, monkeypatch):
+        wav, phn, spans = utterance
+        extract = experiment.extract_features
+        seen = []
+
+        def failing_on_third(signal, config):
+            seen.append(signal)
+            if len(seen) == 3:
+                raise DegenerateSpectrum("non-positive prediction-error variance")
+            return extract(signal, config)
+
+        argv = ["predict", "--model", str(trained_model), "--audio", wav, "--phn", phn]
+        assert run_cli(argv) == EXIT_OK
+        normal = _token_lines(capsys.readouterr().out)
+        monkeypatch.setattr(experiment, "extract_features", failing_on_third)
+        assert run_cli(argv) == EXIT_OK
+        lines = _token_lines(capsys.readouterr().out)
+        begin, end, label = spans[2]
+        assert lines[2] == f"utt {begin} {end} {label} -"
+        assert lines[:2] + lines[3:] == normal[:2] + normal[3:]
+
+    def test_only_skipped_tokens(self, trained_model, utterance, tmp_path, capsys):
+        wav, _phn, spans = utterance
+        begin, end, label = spans[-1]  # too short for one frame
+        phn = tmp_path / "utt.phn"
+        phn.write_text(f"{begin} {end} {label}\n")
+        assert run_cli(["predict", "--model", str(trained_model), "--audio", wav,
+                        "--phn", str(phn)]) == EXIT_OK
+        assert _token_lines(capsys.readouterr().out) == [f"utt {begin} {end} {label} -"]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_model_is_a_data_error(self, trained_model, utterance, tmp_path, capsys,
+                                             name):
+        wav, phn, _spans = utterance
+        bad = write_malformed(trained_model, tmp_path / "bad.svmodel", name)
+        assert run_cli(["predict", "--model", str(bad), "--audio", wav,
+                        "--phn", phn]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error")
+        assert _token_lines(captured.out) == []
 
 
 class TestEvaluate:

@@ -102,6 +102,43 @@ class TestFcmCluster:
             fcm_cluster(np.zeros((5, 2)), 2, m=1.0)
 
 
+def _fcm_two_membership_passes(features, c, m=2.0, tol=1e-5, max_iter=300, seed=0):
+    """fcm_cluster's loop as it was, with two membership computations per iteration."""
+    from vowelkit.frame_select import FcmState, _memberships
+
+    rng = np.random.default_rng(seed)
+    centers = features[rng.choice(features.shape[0], size=c, replace=False)].copy()
+    u = None
+    objective = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        u, _ = _memberships(features, centers, m)
+        um = u**m
+        new_centers = (um.T @ features) / um.sum(axis=0)[:, None]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        _, d2 = _memberships(features, centers, m)
+        objective = float((um * d2).sum())
+        if shift < tol:
+            break
+    return FcmState(centers=centers, membership=u, objective=objective, n_iter=it)
+
+
+class TestFcmOneMembershipPass:
+    @pytest.mark.parametrize("max_iter", [1, 3, 300])
+    def test_state_equals_two_pass_loop(self, max_iter):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            feats = rng.normal(size=(rng.integers(7, 30), 36))
+            feats[:2] = feats[2]  # repeated frames give zero distances to a center
+            got = fcm_cluster(feats, 7, max_iter=max_iter, seed=trial)
+            want = _fcm_two_membership_passes(feats, 7, max_iter=max_iter, seed=trial)
+            assert np.array_equal(got.centers, want.centers)
+            assert np.array_equal(got.membership, want.membership)
+            assert got.objective == want.objective
+            assert got.n_iter == want.n_iter
+
+
 def _objective_trace(feats, c, seed):
     """Objective after each full FCM update, via single-iteration restarts."""
     from vowelkit.frame_select import _memberships

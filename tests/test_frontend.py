@@ -267,3 +267,26 @@ class TestExtractFeatures:
             FrontendConfig(hop=0)
         with pytest.raises(InvalidInput):
             FrontendConfig(feature_kind="lpc")
+
+
+class TestFilterWeightCache:
+    def test_cached_weights_are_read_only(self):
+        from vowelkit.frontend import bark_filter_weights
+
+        for weights in (mel_filter_weights(129, 16000, 26), bark_filter_weights(129, 16000)):
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError):
+                weights[0, 0] = 1.0
+        assert mel_filter_weights(129, 16000, 26) is mel_filter_weights(129, 16000, 26)
+        assert bark_filter_weights(129, 16000) is bark_filter_weights(129, 16000)
+
+    @pytest.mark.parametrize("kind", ["mfcc", "plp"])
+    def test_features_identical_to_uncached_weights(self, kind, monkeypatch):
+        from vowelkit import frontend
+
+        x = sig(np.random.default_rng(7).uniform(-0.5, 0.5, 3200))
+        cached = extract_features(x, FrontendConfig(feature_kind=kind))
+        for name in ("mel_filter_weights", "bark_filter_weights"):
+            monkeypatch.setattr(frontend, name, getattr(frontend, name).__wrapped__)
+        fresh = extract_features(x, FrontendConfig(feature_kind=kind))
+        assert np.array_equal(cached, fresh)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from vowelkit.errors import FormatError, InvalidInput
-from vowelkit.kernels import Linear, Rbf
+from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
 from vowelkit.multiclass import (
     LabeledDataset,
     OvOModel,
+    _votes_and_scores,
     load_model,
     predict_ovo,
     predict_ovo_batch,
@@ -16,7 +17,7 @@ from vowelkit.multiclass import (
     train_ovo,
 )
 from vowelkit.preprocessing import ScalerParams
-from vowelkit.svm import BinaryModel, SvmParams
+from vowelkit.svm import BinaryModel, SvmParams, decision_values
 
 
 def blob_dataset(k, per_class=8, seed=0, spread=0.3):
@@ -228,3 +229,163 @@ class TestPersistence:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             load_model(bad)
+
+
+def reference_vote(model, X):
+    """Votes, |f|-sums and winners from one decision_values call per pair."""
+    votes = np.zeros((X.shape[0], model.k), dtype=int)
+    strength = np.zeros((X.shape[0], model.k))
+    for (i, j), binary in zip(model.pair_index, model.binaries):
+        f = decision_values(binary, X)
+        votes[f >= 0.0, i] += 1
+        votes[f < 0.0, j] += 1
+        strength[:, i] += np.abs(f)
+        strength[:, j] += np.abs(f)
+    preds = []
+    for v, s in zip(votes, strength):
+        tied = np.where(v == v.max())[0]
+        preds.append(int(tied[np.argmax(s[tied])]))
+    return votes, strength, np.array(preds)
+
+
+def with_binary(model, index, binary):
+    binaries = list(model.binaries)
+    binaries[index] = binary
+    return OvOModel(model.label_names, model.pair_index, binaries, model.scaler,
+                    model.fingerprint)
+
+
+def shared_sv_model(kernel, k=5, seed=20):
+    """Overlapping blobs, so most support vectors serve several pairs."""
+    model = train_ovo(blob_dataset(k, per_class=10, seed=seed, spread=4.0),
+                      SvmParams(C=1.0, kernel=kernel))
+    stacked = np.vstack([b.support_vectors for b in model.binaries])
+    assert np.unique(stacked, axis=0).shape[0] < stacked.shape[0]
+    return model
+
+
+KERNELS = [Polynomial(0.05, 1.0, 3), Rbf(0.5), Sigmoid(0.05, -1.0), Linear()]
+
+
+class TestSupportVectorTable:
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    def test_matches_per_pair_vote(self, kernel):
+        model = shared_sv_model(kernel)
+        probes = np.random.default_rng(21).uniform(-12, 12, size=(300, 2))
+        votes, strength, preds = reference_vote(model, probes)
+        got_votes, got_strength = _votes_and_scores(model, probes)
+        assert np.array_equal(got_votes, votes)
+        assert np.allclose(got_strength, strength, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(predict_ovo_batch(model, probes), preds)
+
+    @pytest.mark.parametrize("dim", [0, 2])
+    def test_pair_without_support_vectors(self, dim):
+        model = shared_sv_model(Rbf(0.5))
+        empty = BinaryModel(np.zeros((0, dim)), [], [], bias=0.25, kernel=Rbf(0.5))
+        model = with_binary(model, 3, empty)
+        probes = np.random.default_rng(22).uniform(-12, 12, size=(100, 2))
+        assert np.array_equal(predict_ovo_batch(model, probes), reference_vote(model, probes)[2])
+
+    def test_no_support_vectors_at_all(self):
+        model = shared_sv_model(Linear(), k=3)
+        for p in range(3):
+            model = with_binary(model, p, BinaryModel(np.zeros((0, 2)), [], [], bias=p - 1.0,
+                                                      kernel=Linear()))
+        # pair (0, 1) votes 1, (0, 2) votes 0, (1, 2) votes 1
+        assert np.array_equal(predict_ovo_batch(model, np.zeros((4, 2))), [1, 1, 1, 1])
+
+    def test_mixed_kernels_rejected(self, tmp_path):
+        model = shared_sv_model(Rbf(0.5), k=3)
+        b = model.binaries[1]
+        mixed = with_binary(model, 1, BinaryModel(b.support_vectors, b.sv_alphas, b.sv_labels,
+                                                  b.bias, kernel=Rbf(0.25)))
+        with pytest.raises(InvalidInput):
+            predict_ovo_batch(mixed, np.zeros((1, 2)))
+        with pytest.raises(InvalidInput):
+            save_model(mixed, tmp_path / "m.svmodel")
+
+    def test_dimension_mismatch_rejected(self):
+        model = shared_sv_model(Rbf(0.5), k=3)
+        with pytest.raises(InvalidInput):
+            predict_ovo_batch(model, np.zeros((1, 3)))
+
+    def test_save_load_save_byte_identical_with_shared_vectors(self, tmp_path):
+        model = shared_sv_model(Sigmoid(0.05, -1.0))
+        model.scaler = ScalerParams(np.full(2, -20.0), np.full(2, 20.0))
+        p1, p2 = tmp_path / "m1.svmodel", tmp_path / "m2.svmodel"
+        save_model(model, p1)
+        loaded = load_model(p1)
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        for a, b in zip(loaded.binaries, model.binaries):
+            assert np.array_equal(a.support_vectors, b.support_vectors)
+            assert np.array_equal(a.sv_alphas * a.sv_labels, b.sv_alphas * b.sv_labels)
+
+    def test_crlf_copy_predicts_the_same(self, tmp_path):
+        model = shared_sv_model(Rbf(0.5))
+        path, crlf = tmp_path / "m.svmodel", tmp_path / "crlf.svmodel"
+        save_model(model, path)
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        probes = np.random.default_rng(23).uniform(-12, 12, size=(100, 2))
+        assert np.array_equal(predict_ovo_batch(load_model(crlf), probes),
+                              predict_ovo_batch(load_model(path), probes))
+
+
+def _field(prefix, n, value):
+    """Set whitespace field n of the first line that starts with prefix."""
+    def mutate(lines):
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        fields = lines[k].split()
+        fields[n] = value
+        return lines[:k] + [" ".join(fields)] + lines[k + 1:]
+    return mutate
+
+
+def _drop_scaler_and_shorten_first_sv(lines):
+    lines = [("scaler none" if line.startswith("scaler_min") else line)
+             for line in lines if not line.startswith("scaler_max")]
+    k = next(i for i, line in enumerate(lines) if line.startswith("sv "))
+    return lines[:k] + [lines[k].rsplit(" ", 1)[0]] + lines[k + 1:]
+
+
+# name -> edit of a saved model's lines that load_model must reject with FormatError
+MALFORMED = {
+    "version": _field("vowelkit-svmodel", 1, "one"),
+    "kernel parameter": _field("kernel", 2, "sigma=abc"),
+    "non-finite kernel parameter": _field("kernel", 2, "sigma=nan"),
+    "scaler value": _field("scaler_min", 1, "abc"),
+    "non-finite scaler value": _field("scaler_max", 1, "inf"),
+    "pair bias": _field("pair ", 3, "bias=abc"),
+    "non-finite pair C": _field("pair ", 4, "C=nan"),
+    "pair class id": _field("pair ", 2, "99"),
+    "sv alpha": _field("sv ", 1, "abc"),
+    "non-finite sv alpha": _field("sv ", 1, "inf"),
+    "sv label": _field("sv ", 2, "+2"),
+    "sv value": _field("sv ", 3, "abc"),
+    "non-finite sv value": _field("sv ", 3, "nan"),
+    "sv dimension within the model": _drop_scaler_and_shorten_first_sv,
+    "sv dimension against the scaler": lambda lines: [
+        line.rsplit(" ", 1)[0] if line.startswith("sv ") else line for line in lines],
+}
+
+
+def write_malformed(source, dest, name):
+    lines = MALFORMED[name](source.read_text().splitlines())
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_rejected_with_format_error(self, tmp_path, name):
+        model = TestPersistence().make_model()
+        save_model(model, tmp_path / "m.svmodel")
+        bad = write_malformed(tmp_path / "m.svmodel", tmp_path / "bad.svmodel", name)
+        with pytest.raises(FormatError):
+            load_model(bad)
+
+    def test_unedited_copy_loads(self, tmp_path):
+        save_model(TestPersistence().make_model(), tmp_path / "m.svmodel")
+        lines = (tmp_path / "m.svmodel").read_text().splitlines()
+        (tmp_path / "copy.svmodel").write_text("\n".join(lines) + "\n")
+        load_model(tmp_path / "copy.svmodel")
