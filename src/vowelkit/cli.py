@@ -43,16 +43,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_workers():
-    env = os.environ.get("VOWELKIT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"VOWELKIT_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _parse_frames(spec: str):
     """"middle:3" or "fcm:5" -> (method name, K)."""
     method, _, count = spec.partition(":")
@@ -66,10 +56,17 @@ def _split_list(raw, convert=str):
 
 
 def _load_config_file(path) -> dict:
+    """Grid settings from an INI file; an unreadable or malformed file is a usage error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise UsageError(f"cannot read config file {path}")
+        return _config_values(parser)
+    except (configparser.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        raise UsageError(f"malformed config file {path}: {exc}") from exc
+
+
+def _config_values(parser) -> dict:
     out = {}
     exp = parser["experiment"] if parser.has_section("experiment") else {}
     out["corpus_root"] = exp.get("corpus_root")
@@ -77,8 +74,6 @@ def _load_config_file(path) -> dict:
         out["phonemes"] = _split_list(exp["phonemes"])
     if "seed" in exp:
         out["seed"] = int(exp["seed"])
-    if "workers" in exp:
-        out["workers"] = int(exp["workers"])
     if parser.has_section("frontend"):
         fe = parser["frontend"]
         out["frontend"] = FrontendConfig(
@@ -158,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--corpus", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored; the grid runs its cells in sequence")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--save-best", action="store_true")
 
@@ -259,8 +255,6 @@ def _cmd_grid(args):
         overrides["corpus_root"] = args.corpus
     if args.seed is not None:
         overrides["seed"] = args.seed
-    overrides["workers"] = args.workers if args.workers is not None else \
-        overrides.get("workers", _default_workers())
     if not overrides.get("corpus_root"):
         raise UsageError("grid needs --corpus or a config file with corpus_root")
     config = ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})

@@ -3,7 +3,7 @@
 import os
 import wave
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class PhonemeToken:
     audio_path: str = ""
 
 
-def _pcm16_to_float(raw: bytes) -> np.ndarray:
-    return np.frombuffer(raw, dtype="<i2").astype(float) / 32768.0
+def _pcm16_to_float(raw: bytes, path, dtype: str = "<i2") -> np.ndarray:
+    if len(raw) % 2:
+        raise FormatError(f"{path}: odd number of 16-bit sample bytes")
+    return np.frombuffer(raw, dtype=dtype).astype(float) / 32768.0
 
 
 def _load_wav(path) -> RawSignal:
@@ -46,7 +48,7 @@ def _load_wav(path) -> RawSignal:
             raw = wf.readframes(wf.getnframes())
     except wave.Error as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return RawSignal(_pcm16_to_float(raw), rate)
+    return RawSignal(_pcm16_to_float(raw, path), rate)
 
 
 def _load_sphere(path) -> RawSignal:
@@ -62,24 +64,28 @@ def _load_sphere(path) -> RawSignal:
         parts = line.split()
         if len(parts) == 3 and parts[1].startswith("-"):
             fields[parts[0]] = parts[2]
-    try:
-        rate = int(fields["sample_rate"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: SPHERE header lacks sample_rate") from exc
-    if int(fields.get("channel_count", "1")) != 1:
+
+    def int_field(name, default=None):
+        try:
+            value = int(fields.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: SPHERE header lacks an integer {name}") from exc
+        if value < 0:
+            raise FormatError(f"{path}: negative SPHERE {name}")
+        return value
+
+    rate = int_field("sample_rate")
+    if int_field("channel_count", 1) != 1:
         raise FormatError(f"{path}: only mono SPHERE supported")
-    if int(fields.get("sample_n_bytes", "2")) != 2:
+    if int_field("sample_n_bytes", 2) != 2:
         raise FormatError(f"{path}: only 16-bit SPHERE supported")
     coding = fields.get("sample_coding", "pcm")
     if "pcm" not in coding or "shorten" in coding:
         raise FormatError(f"{path}: unsupported SPHERE coding {coding!r}")
-    samples = np.frombuffer(data, dtype="<i2")
-    if fields.get("sample_byte_format") == "10":
-        samples = np.frombuffer(data, dtype=">i2")
-    count = fields.get("sample_count")
-    if count is not None:
-        samples = samples[: int(count)]
-    return RawSignal(samples.astype(float) / 32768.0, rate)
+    if "sample_count" in fields:
+        data = data[: 2 * int_field("sample_count")]
+    dtype = ">i2" if fields.get("sample_byte_format") == "10" else "<i2"
+    return RawSignal(_pcm16_to_float(data, path, dtype), rate)
 
 
 def load_audio(path, sample_rate: Optional[int] = None) -> RawSignal:
@@ -92,7 +98,7 @@ def load_audio(path, sample_rate: Optional[int] = None) -> RawSignal:
         return _load_sphere(path)
     if sample_rate is not None:
         with open(path, "rb") as fh:
-            return RawSignal(_pcm16_to_float(fh.read()), sample_rate)
+            return RawSignal(_pcm16_to_float(fh.read(), path), sample_rate)
     raise FormatError(f"{path}: unknown audio format (magic {magic[:4]!r})")
 
 
@@ -104,51 +110,52 @@ def load_phn(path, whitelist: Sequence[str] = VOWELS,
     allowed = set(whitelist)
     if utterance_id is None:
         utterance_id = os.path.splitext(os.path.basename(str(path)))[0]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # text mode turns \r and \r\n into \n
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text") from exc
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'begin end label'")
-            try:
-                begin, end = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer span") from exc
-            if end <= begin or begin < 0:
-                raise FormatError(f"{path}:{lineno}: invalid span [{begin}, {end})")
-            if n_samples is not None and end > n_samples:
-                raise FormatError(f"{path}:{lineno}: span exceeds signal length {n_samples}")
-            if parts[2] in allowed:
-                tokens.append(PhonemeToken(parts[2], begin, end, utterance_id, split, audio_path))
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise FormatError(f"{path}:{lineno}: expected 'begin end label'")
+        try:
+            begin, end = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer span") from exc
+        if end <= begin or begin < 0:
+            raise FormatError(f"{path}:{lineno}: invalid span [{begin}, {end})")
+        if n_samples is not None and end > n_samples:
+            raise FormatError(f"{path}:{lineno}: span exceeds signal length {n_samples}")
+        if parts[2] in allowed:
+            tokens.append(PhonemeToken(parts[2], begin, end, utterance_id, split, audio_path))
     return tokens
 
 
-def find_utterances(corpus_root, split: str) -> List[str]:
-    """Audio files under <root>/<split>/ that have a sibling .phn file."""
+def find_utterances(corpus_root, split: str) -> List[Tuple[str, str]]:
+    """(audio, transcription) path pairs under <root>/<split>/, sorted.
+
+    An utterance is a .wav file with a sibling of the same stem whose
+    extension is .phn in any case (the first such name in sorted order).
+    """
     base = os.path.join(str(corpus_root), split)
     if not os.path.isdir(base):
         raise InvalidInput(f"missing corpus split directory: {base}")
     found = []
     for dirpath, _dirnames, filenames in os.walk(base):
+        phn = {}
         for name in sorted(filenames):
             stem, ext = os.path.splitext(name)
-            if ext.lower() == ".wav":
-                for phn in (stem + ".phn", stem + ".PHN"):
-                    if phn in filenames or phn.lower() in [f.lower() for f in filenames]:
-                        found.append(os.path.join(dirpath, name))
-                        break
+            if ext.lower() == ".phn":
+                phn.setdefault(stem, name)
+        for name in filenames:
+            stem, ext = os.path.splitext(name)
+            if ext.lower() == ".wav" and stem in phn:
+                found.append((os.path.join(dirpath, name), os.path.join(dirpath, phn[stem])))
     return sorted(found)
-
-
-def phn_path_for(audio_path: str) -> str:
-    stem = os.path.splitext(audio_path)[0]
-    for candidate in (stem + ".phn", stem + ".PHN"):
-        if os.path.exists(candidate):
-            return candidate
-    raise InvalidInput(f"no .phn transcription next to {audio_path}")
 
 
 def load_corpus_tokens(corpus_root, whitelist: Sequence[str] = VOWELS,
@@ -156,11 +163,11 @@ def load_corpus_tokens(corpus_root, whitelist: Sequence[str] = VOWELS,
     """All whitelisted tokens from the given split trees (train/ and test/ by default)."""
     tokens = []
     for split in splits:
-        for audio_path in find_utterances(corpus_root, split):
+        for audio_path, phn_path in find_utterances(corpus_root, split):
             rel = os.path.relpath(audio_path, str(corpus_root))
             utt = os.path.splitext(rel)[0].replace(os.sep, "/")
             tokens.extend(
-                load_phn(phn_path_for(audio_path), whitelist=whitelist, split=split,
+                load_phn(phn_path, whitelist=whitelist, split=split,
                          utterance_id=utt, audio_path=audio_path)
             )
     return tokens

@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -123,8 +122,7 @@ def _assemble(token_feats, selection, label_names, split):
 
 def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                   selection: SelectionMethod, label_names: Optional[Sequence[str]] = None,
-                  token_feats=None, signal_cache: Optional[dict] = None,
-                  scaler: Optional[ScalerParams] = None):
+                  token_feats=None, scaler: Optional[ScalerParams] = None):
     """Extract, select and scale; returns (train, test, scaler).
 
     A given fitted scaler is applied to both splits, which may then hold no
@@ -136,7 +134,7 @@ def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
     if label_names is None:
         label_names = sorted({t.label for t in tokens})
     if token_feats is None:
-        token_feats = extract_token_features(tokens, frontend, signal_cache)
+        token_feats = extract_token_features(tokens, frontend)
     fingerprint = config_fingerprint(frontend, selection, label_names)
 
     parts = {}
@@ -197,7 +195,7 @@ class ExperimentConfig:
     kkt_tol: float = 1e-3
     max_iter: int = 0
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted for compatibility; the grid runs its cells in sequence
 
     def __post_init__(self):
         for name in ("kernels", "features", "c_values", "sigmas", "k_values", "methods"):
@@ -268,7 +266,7 @@ def _run_cell(cell: GridCell, datasets, config: ExperimentConfig):
     cell.n_train = train.n_tokens
     cell.n_test = test.n_tokens
     cell.skipped = train.skipped + test.skipped
-    return cell, model
+    return model
 
 
 def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken]] = None,
@@ -302,30 +300,24 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
             label_names=label_names, token_feats=feature_cache[feature],
         )
 
-    cells = [
-        GridCell(kernel=kern, feature=feat, C=c, sigma=sigma, K=k, method=method)
-        for kern, feat, c, sigma, k, method in itertools.product(
-            config.kernels, config.features, config.c_values,
-            config.sigmas, config.k_values, config.methods,
-        )
-    ]
-
-    models = {}
-
-    def run(cell):
+    cells = sorted(
+        (GridCell(kernel=kern, feature=feat, C=c, sigma=sigma, K=k, method=method)
+         for kern, feat, c, sigma, k, method in itertools.product(
+             config.kernels, config.features, config.c_values,
+             config.sigmas, config.k_values, config.methods,
+         )),
+        key=lambda c: c.coords,
+    )
+    best_model, best_score = None, None
+    for cell in cells:
         try:
-            cell, model = _run_cell(cell, datasets, config)
-            models[cell.coords] = model
+            model = _run_cell(cell, datasets, config)
         except VowelkitError as exc:
             cell.error = str(exc)
-        return cell
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            cells = list(pool.map(run, cells))
-    else:
-        cells = [run(c) for c in cells]
-    cells.sort(key=lambda c: (c.kernel, c.feature, c.C, c.sigma, c.K, c.method))
+            continue
+        # strictly greater keeps the first best cell in sorted order
+        if best_score is None or (cell.phoneme_acc, cell.frame_acc) > best_score:
+            best_model, best_score = model, (cell.phoneme_acc, cell.frame_acc)
 
     echo = {
         "corpus_root": str(config.corpus_root),
@@ -339,18 +331,14 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
         "methods": list(config.methods),
         "kkt_tol": config.kkt_tol,
         "max_iter": config.max_iter,
-        "workers": config.workers,
         "seed": config.seed,
     }
     report = RunReport(cells=cells, config_echo=echo, seed=config.seed)
 
-    if save_best is not None:
+    if save_best is not None and best_model is not None:
         from .multiclass import save_model
 
-        ok = [c for c in cells if not c.error]
-        if ok:
-            best = max(ok, key=lambda c: (c.phoneme_acc, c.frame_acc))
-            save_model(models[best.coords], save_best)
+        save_model(best_model, save_best)
     return report
 
 

@@ -8,7 +8,7 @@ violation gap m(alpha) - M(alpha) is at most kkt_tol.  Indefinite kernels
 2006), so every step still decreases the objective.
 """
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,37 +72,6 @@ class BinaryModel:
         self.sv_labels = np.asarray(self.sv_labels, dtype=float)
 
 
-class _KernelCache:
-    """Row cache over the training Gram matrix.
-
-    Full matrix below FULL_GRAM_LIMIT rows, LRU rows above; the policy only
-    trades memory for time, values are identical either way.
-    """
-
-    def __init__(self, X, kernel):
-        self.X = X
-        self.kernel = kernel
-        self.l = X.shape[0]
-        if self.l <= FULL_GRAM_LIMIT:
-            self.full = gram_matrix(kernel, X)
-            self.rows = None
-        else:
-            self.full = None
-            self.rows = OrderedDict()
-
-    def row(self, i):
-        if self.full is not None:
-            return self.full[i]
-        if i in self.rows:
-            self.rows.move_to_end(i)
-            return self.rows[i]
-        row = gram_matrix(self.kernel, self.X[i : i + 1], self.X)[0]
-        self.rows[i] = row
-        if len(self.rows) > ROW_CACHE_SIZE:
-            self.rows.popitem(last=False)
-        return row
-
-
 def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
     """Solve the dual until m(alpha) - M(alpha) <= params.kkt_tol; see module docstring.
 
@@ -115,11 +84,18 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
     C = float(params.C)
     max_iter = params.max_iter if params.max_iter > 0 else 100 * l
 
-    cache = _KernelCache(X, params.kernel)
-    if cache.full is not None:
-        diag = np.diag(cache.full)
+    kernel = params.kernel
+    # a full Gram matrix below FULL_GRAM_LIMIT rows, LRU-cached rows above;
+    # the policy only trades memory for time, values are identical either way
+    if l <= FULL_GRAM_LIMIT:
+        gram = gram_matrix(kernel, X)
+        diag = np.diag(gram)
+        row = gram.__getitem__
     else:
-        diag = np.array([gram_matrix(params.kernel, X[t : t + 1])[0, 0] for t in range(l)])
+        diag = np.array([gram_matrix(kernel, X[t : t + 1])[0, 0] for t in range(l)])
+        row = functools.lru_cache(maxsize=ROW_CACHE_SIZE)(
+            lambda i: gram_matrix(kernel, X[i : i + 1], X)[0]
+        )
     alpha = np.zeros(l)
     v = y.copy()  # -y * gradient of 0.5 a'Qa - e'a with Q = yy'K; the gradient is -1 at a = 0
     pos = y > 0
@@ -133,7 +109,7 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
         gap = float(m - M)
         if gap <= params.kkt_tol or n_iter >= max_iter:
             break
-        k_i = cache.row(i)
+        k_i = row(i)
         b = np.maximum(m - v_low, 0.0)  # zero outside I_low and wherever v >= m
         a = diag - 2.0 * k_i
         a += diag[i]
@@ -145,7 +121,7 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
         t = min(b[j] / a[j], cap_i, cap_j)
         alpha[i] = (C if pos[i] else 0.0) if t == cap_i else alpha[i] + y[i] * t
         alpha[j] = (0.0 if pos[j] else C) if t == cap_j else alpha[j] - y[j] * t
-        v -= t * (k_i - cache.row(j))  # the gradient moves by t y (K_i - K_j), and y y = 1
+        v -= t * (k_i - row(j))  # the gradient moves by t y (K_i - K_j), and y y = 1
         for s in (i, j):
             above, below = alpha[s] > 0.0, alpha[s] < C
             up[s], low[s] = (below, above) if pos[s] else (above, below)
@@ -159,7 +135,7 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
         sv_alphas=alpha[sv],
         sv_labels=y[sv],
         bias=bias,
-        kernel=params.kernel,
+        kernel=kernel,
         converged=gap <= params.kkt_tol,
         n_iter=n_iter,
         C=C,

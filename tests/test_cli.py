@@ -1,14 +1,18 @@
+import csv
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import SYNTH_FORMANTS, make_corpus, synth_token, write_wav
+from test_corpus import FUZZ
 from test_multiclass import MALFORMED, write_malformed
 from vowelkit import cli, experiment, frontend
-from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run_cli
-from vowelkit.errors import DegenerateSpectrum, TooShort
+from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, run_cli
+from vowelkit.errors import DegenerateSpectrum, TooShort, VowelkitError
 from vowelkit.experiment import frontend_for, selection_for
 from vowelkit.frame_select import select_frames
 from vowelkit.multiclass import load_model, predict_phoneme
@@ -296,21 +300,117 @@ def _mini_cfg(tmp_path):
     return str(cfg)
 
 
-class TestWorkersEnv:
-    def test_env_fallback(self, small_corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOWELKIT_WORKERS", "2")
-        out = tmp_path / "results"
-        code = run_cli([
-            "grid", "--corpus", str(small_corpus), "--out", str(out),
-            "--config", _mini_cfg(tmp_path),
-        ])
-        assert code == EXIT_OK
+def _report_without_timings(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timing = {rows[0].index("train_s"), rows[0].index("test_s")}
+    return [[v for n, v in enumerate(row) if n not in timing] for row in rows]
 
-    def test_bad_env_value(self, small_corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOWELKIT_WORKERS", "lots")
-        out = tmp_path / "results"
-        code = run_cli([
-            "grid", "--corpus", str(small_corpus), "--out", str(out),
-            "--config", _mini_cfg(tmp_path),
-        ])
+
+class TestWorkersIgnored:
+    def test_same_report_with_any_worker_setting(self, small_corpus, tmp_path):
+        grid = ("[grid]\nkernels = rbf polynomial\nfeatures = mfcc36\nc = 100 10\n"
+                "sigma = 0.5\nk = 3\nmethods = middle\n")
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("[experiment]\nphonemes = aa iy uw\n" + grid)
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text("[experiment]\nphonemes = aa iy uw\nworkers = x\n" + grid)
+        reports = []
+        for cfg, workers in ((plain, "1"), (plain, "2"), (keyed, "2")):
+            out = tmp_path / f"{cfg.stem}{workers}"
+            code = run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                            "--out", str(out), "--workers", workers, "--save-best"])
+            assert code == EXIT_OK
+            reports.append((_report_without_timings(out / "report.csv"),
+                            (out / "best.svmodel").read_bytes()))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+        assert [row[:3] for row in reports[0][0][1:]] == [
+            ["polynomial", "mfcc36", "10.0"], ["polynomial", "mfcc36", "100.0"],
+            ["rbf", "mfcc36", "10.0"], ["rbf", "mfcc36", "100.0"],
+        ]
+
+
+MALFORMED_CONFIGS = {
+    "seed": b"[experiment]\nseed = abc\n",
+    "c": b"[grid]\nc = ten\n",
+    "k": b"[grid]\nk = 1.5\n",
+    "sigma": b"[grid]\nsigma = wide\n",
+    "hop": b"[frontend]\nhop = x\n",
+    "pre_emphasis": b"[frontend]\npre_emphasis = high\n",
+    "kkt_tol": b"[svm]\nkkt_tol = small\n",
+    "max_iter": b"[svm]\nmax_iter = 1e3\n",
+    "no section header": b"seed = 1\n",
+    "duplicate section": b"[grid]\nc = 10\n[grid]\n",
+    "interpolation": b"[experiment]\ncorpus_root = /data/100%\n",
+    "not utf-8": b"[experiment]\nphonemes = \xe6\n",
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_exits_with_usage_error(self, case, small_corpus, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(MALFORMED_CONFIGS[case])
+        code = run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
+        assert "malformed config file" in capsys.readouterr().err
+
+    def test_unreadable_file(self, tmp_path):
+        code = run_cli(["grid", "--config", str(tmp_path / "missing.cfg"),
+                        "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+
+    @FUZZ
+    @given(st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.tuples(
+            st.sampled_from(["experiment", "frontend", "grid", "svm", "other"]),
+            st.sampled_from(["corpus_root", "phonemes", "seed", "workers", "pre_emphasis",
+                             "frame_len", "hop", "num_ceps", "num_mel_filters", "lp_order",
+                             "kernels", "features", "c", "sigma", "k", "methods",
+                             "kkt_tol", "max_iter"]),
+            st.text(max_size=12),
+        ), max_size=8).map(lambda entries: "".join(
+            f"[{section}]\n{key} = {value}\n" for section, key, value in entries).encode()),
+    ))
+    def test_fuzzed_file_raises_only_usage_or_toolkit_errors(self, tmp_path, raw):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_bytes(raw)
+        try:
+            cli._load_config_file(str(cfg))
+        except (UsageError, VowelkitError):
+            pass
+
+
+class TestOutsideFileErrors:
+    def test_sphere_with_non_integer_field_exits_2(self, trained_model, tmp_path):
+        audio = tmp_path / "u.sph"
+        audio.write_bytes(b"NIST_1A\n   1024\nsample_rate -i 16000\nchannel_count -i one\n"
+                          b"end_head\n".ljust(1024, b" ") + bytes(2048))
+        phn = tmp_path / "u.phn"
+        phn.write_text("0 1024 aa\n")
+        code = run_cli(["predict", "--model", str(trained_model), "--audio", str(audio),
+                        "--phn", str(phn)])
+        assert code == EXIT_DATA
+
+    def test_phn_not_utf8_exits_2(self, trained_model, utterance, tmp_path):
+        wav, _phn, _spans = utterance
+        phn = tmp_path / "u.phn"
+        phn.write_bytes(b"0 1024 aa\n1024 2048 \xe6\n")
+        code = run_cli(["predict", "--model", str(trained_model), "--audio", wav,
+                        "--phn", str(phn)])
+        assert code == EXIT_DATA
+
+    def test_mixed_case_phn_corpus_trains(self, small_corpus, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        for dirpath, _dirs, files in os.walk(corpus):
+            for name in files:
+                if name.endswith(".phn"):
+                    os.rename(os.path.join(dirpath, name),
+                              os.path.join(dirpath, name[:-4] + ".Phn"))
+        code = run_cli(["train", "--corpus", str(corpus), "--out", str(tmp_path / "m.svmodel"),
+                        "--kernel", "rbf", "--sigma", "0.5"])
+        assert code == EXIT_OK

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_wav
 from vowelkit.corpus import (
@@ -9,7 +13,10 @@ from vowelkit.corpus import (
     load_corpus_tokens,
     load_phn,
 )
-from vowelkit.errors import FormatError, InvalidInput
+from vowelkit.errors import FormatError, InvalidInput, VowelkitError
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestLoadWav:
@@ -83,6 +90,46 @@ class TestLoadSphere:
         with pytest.raises(FormatError):
             load_audio(path)
 
+    @pytest.mark.parametrize("field", ["channel_count", "sample_n_bytes", "sample_count"])
+    def test_non_integer_field_rejected(self, tmp_path, field):
+        path = tmp_path / "d.sph"
+        path.write_bytes(re.sub(rb"(%s -i )\d" % field.encode(), rb"\1x", sphere_bytes([0, 0])))
+        with pytest.raises(FormatError, match=field):
+            load_audio(path)
+
+    def test_sample_count_truncates(self, tmp_path):
+        path = tmp_path / "e.sph"
+        path.write_bytes(sphere_bytes([0, 100, -100]).replace(b"sample_count -i 3",
+                                                                b"sample_count -i 2") + b"\x01")
+        assert load_audio(path).samples.size == 2
+
+    def test_odd_data_without_count_rejected(self, tmp_path):
+        path = tmp_path / "f.sph"
+        path.write_bytes(sphere_bytes([0, 0]).replace(b"sample_count -i 2", b" " * 17) + b"\x01")
+        with pytest.raises(FormatError):
+            load_audio(path)
+
+    @FUZZ
+    @given(
+        lines=st.lists(st.tuples(
+            st.sampled_from(["sample_rate", "channel_count", "sample_n_bytes", "sample_count",
+                             "sample_coding", "sample_byte_format", "other"]),
+            st.sampled_from(["-i", "-s2", "-r", "x"]),
+            st.one_of(st.integers(-10, 70000).map(str),
+                      st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1)),
+        ), max_size=8),
+        junk=st.binary(max_size=40),
+        data=st.binary(max_size=64),
+    )
+    def test_fuzzed_header_raises_only_toolkit_errors(self, tmp_path, lines, junk, data):
+        header = b"NIST_1A\n   1024\n" + "".join(f"{a} {b} {c}\n" for a, b, c in lines).encode()
+        path = tmp_path / "fuzz.sph"
+        path.write_bytes((header + junk)[:1024].ljust(1024, b" ") + data)
+        try:
+            load_audio(path)
+        except VowelkitError:
+            pass
+
 
 class TestRawPcm:
     def test_requires_explicit_rate(self, tmp_path):
@@ -93,6 +140,12 @@ class TestRawPcm:
         signal = load_audio(path, sample_rate=8000)
         assert signal.sample_rate == 8000
         assert signal.samples[1] == pytest.approx(0.5)
+
+    def test_odd_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "odd.pcm"
+        path.write_bytes(b"\x00\x00\x01")
+        with pytest.raises(FormatError):
+            load_audio(path, sample_rate=8000)
 
 
 class TestLoadPhn:
@@ -133,6 +186,38 @@ class TestLoadPhn:
         with pytest.raises(FormatError):
             load_phn(path)
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "f.phn"
+        path.write_bytes("0 100 iy\n100 200 \u00e6\n".encode("latin-1"))
+        with pytest.raises(FormatError):
+            load_phn(path)
+
+    def test_line_endings(self, tmp_path):
+        path = tmp_path / "g.phn"
+        path.write_bytes(b"0 100 iy\r\n\r\n100 200 aa\r300 400 uw")
+        tokens = load_phn(path)
+        assert [(t.begin, t.label) for t in tokens] == [(0, "iy"), (100, "aa"), (300, "uw")]
+        path.write_bytes(b"0 100 iy\r\nbad\n")
+        with pytest.raises(FormatError, match=":2:"):
+            load_phn(path)
+
+    @FUZZ
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.tuples(st.integers(-5, 50).map(str) | st.text(max_size=4),
+                           st.integers(-5, 50).map(str) | st.text(max_size=4),
+                           st.sampled_from(["iy", "aa", "h#", ""]) | st.text(max_size=4)),
+                 max_size=6).map(lambda rows: "\n".join(" ".join(r) for r in rows).encode()),
+    ))
+    def test_fuzzed_file_raises_only_toolkit_errors(self, tmp_path, raw):
+        path = tmp_path / "fuzz.phn"
+        path.write_bytes(raw)
+        try:
+            tokens = load_phn(path, n_samples=40)
+        except VowelkitError:
+            return
+        assert all(0 <= t.begin < t.end <= 40 and t.label in VOWELS for t in tokens)
+
 
 class TestCorpusWalk:
     def test_small_corpus_structure(self, small_corpus):
@@ -148,3 +233,21 @@ class TestCorpusWalk:
     def test_missing_split_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):
             find_utterances(tmp_path, "train")
+
+    def test_phn_extension_in_any_case(self, tmp_path):
+        split = tmp_path / "train"
+        split.mkdir()
+        write_wav(split / "u.wav", np.zeros(400))
+        (split / "u.Phn").write_text("0 200 iy\n")
+        write_wav(split / "v.WAV", np.zeros(400))
+        (split / "v.PHN").write_text("0 300 aa\n")
+        write_wav(split / "w.wav", np.zeros(400))  # W.phn has another stem: not its transcription
+        (split / "W.phn").write_text("0 300 aa\n")
+        assert find_utterances(tmp_path, "train") == [
+            (str(split / "u.wav"), str(split / "u.Phn")),
+            (str(split / "v.WAV"), str(split / "v.PHN")),
+        ]
+        tokens = load_corpus_tokens(tmp_path, splits=("train",))
+        assert [(t.utterance_id, t.label, t.end) for t in tokens] == [
+            ("train/u", "iy", 200), ("train/v", "aa", 300),
+        ]

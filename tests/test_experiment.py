@@ -20,8 +20,8 @@ from vowelkit.experiment import (
 )
 import vowelkit.multiclass as multiclass
 from vowelkit.frame_select import MiddleFrames
-from vowelkit.kernels import Rbf, Sigmoid
-from vowelkit.multiclass import predict_ovo_batch, predict_phoneme, train_ovo
+from vowelkit.kernels import Rbf, Sigmoid, make_kernel
+from vowelkit.multiclass import predict_ovo_batch, predict_phoneme, save_model, train_ovo
 from vowelkit.svm import SvmParams
 
 
@@ -217,6 +217,26 @@ class TestGridSearch:
         ok = [c for c in report.cells if not c.error]
         assert len(errors) == 1 and len(ok) == 1
         assert ok[0].frame_acc > 0.0
+
+    def test_saves_first_best_cell_in_sorted_order(self, small_corpus, tmp_path):
+        config = small_grid_config(small_corpus, kernels=("rbf", "polynomial"),
+                                   c_values=(100.0, 10.0), sigmas=(0.5, 0.027, -1.0))
+        saved = tmp_path / "best.svmodel"
+        report = grid_search(config, save_best=str(saved))
+        assert [c.coords for c in report.cells] == sorted(c.coords for c in report.cells)
+        ok = [c for c in report.cells if not c.error]
+        assert len(ok) == 8
+        best = max(ok, key=lambda c: (c.phoneme_acc, c.frame_acc))
+        tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
+        train, _test, scaler = build_dataset(
+            tokens, frontend_for(best.feature), selection_for(best.method, best.K, seed=0),
+            label_names=sorted(config.phonemes),
+        )
+        params = SvmParams(C=best.C, kernel=make_kernel(best.kernel, best.sigma))
+        model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint,
+                          scaler=scaler)
+        save_model(model, str(tmp_path / "reference.svmodel"))
+        assert saved.read_bytes() == (tmp_path / "reference.svmodel").read_bytes()
 
     def test_config_echo_includes_seed(self, small_corpus):
         report = grid_search(small_grid_config(small_corpus, seed=42))
