@@ -25,6 +25,7 @@ from .svm import (
     dual_objective,
     predict_binary,
     smo_train,
+    smo_train_many,
 )
 from .multiclass import (
     LabeledDataset,

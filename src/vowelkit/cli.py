@@ -3,6 +3,7 @@
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 
@@ -55,6 +56,13 @@ def _split_list(raw, convert=str):
     return tuple(convert(v) for v in raw.replace(",", " ").split())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _load_config_file(path) -> dict:
     """Grid settings from an INI file; an unreadable or malformed file is a usage error."""
     parser = configparser.ConfigParser()
@@ -91,9 +99,9 @@ def _config_values(parser) -> dict:
         if "features" in grid:
             out["features"] = _split_list(grid["features"])
         if "c" in grid:
-            out["c_values"] = _split_list(grid["c"], float)
+            out["c_values"] = _split_list(grid["c"], _finite)
         if "sigma" in grid:
-            out["sigmas"] = _split_list(grid["sigma"], float)
+            out["sigmas"] = _split_list(grid["sigma"], _finite)
         if "k" in grid:
             out["k_values"] = _split_list(grid["k"], int)
         if "methods" in grid:
@@ -101,7 +109,7 @@ def _config_values(parser) -> dict:
     if parser.has_section("svm"):
         svm = parser["svm"]
         if "kkt_tol" in svm:
-            out["kkt_tol"] = float(svm["kkt_tol"])
+            out["kkt_tol"] = _finite(svm["kkt_tol"])
         if "max_iter" in svm:
             out["max_iter"] = int(svm["max_iter"])
     return out

@@ -5,12 +5,19 @@ polynomial (sigma*x.y + r)^d, RBF exp(-sigma*||x-y||^2) and
 sigmoid tanh(sigma*x.y + r).  Linear is the diagnostic special case x.y.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput
+
+
+def _require_finite(kind: str, **values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInput(f"{kind} {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,6 +27,7 @@ class Polynomial:
     d: int = 3
 
     def __post_init__(self):
+        _require_finite("polynomial", sigma=self.sigma, r=self.r)
         if self.sigma <= 0.0:
             raise InvalidInput("polynomial sigma must be > 0")
         if int(self.d) != self.d or self.d < 1:
@@ -31,6 +39,7 @@ class Rbf:
     sigma: float
 
     def __post_init__(self):
+        _require_finite("RBF", sigma=self.sigma)
         if self.sigma <= 0.0:
             raise InvalidInput("RBF sigma must be > 0")
 
@@ -39,6 +48,9 @@ class Rbf:
 class Sigmoid:
     sigma: float = 1.0
     r: float = 0.0
+
+    def __post_init__(self):
+        _require_finite("sigmoid", sigma=self.sigma, r=self.r)
 
 
 @dataclass(frozen=True)

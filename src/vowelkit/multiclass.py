@@ -10,7 +10,7 @@ import numpy as np
 from .errors import FormatError, InvalidInput
 from .kernels import KernelSpec, Linear, gram_matrix, kernel_from_dict, kernel_to_dict
 from .preprocessing import ScalerParams
-from .svm import BinaryModel, BinaryProblem, SvmParams, smo_train
+from .svm import BinaryModel, BinaryProblem, SvmParams, smo_train_many
 
 MODEL_MAGIC = "vowelkit-svmodel"
 MODEL_VERSION = 1
@@ -52,27 +52,24 @@ class OvOModel:
 
 def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
               scaler: Optional[ScalerParams] = None) -> OvOModel:
-    """Train k(k-1)/2 binary models, class i mapped to +1 and j to -1."""
+    """Train k(k-1)/2 binary models, class i mapped to +1 and j to -1, in one smo_train_many."""
     k = len(data.label_names)
     pairs = list(itertools.combinations(range(k), 2))
-    binaries = []
-    not_converged = []
+    problems = []
     for i, j in pairs:
         mask = (data.labels == i) | (data.labels == j)
         if not mask.any() or np.unique(data.labels[mask]).size < 2:
             raise InvalidInput(f"classes {i} and {j} lack training samples")
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
-        model = smo_train(BinaryProblem(data.X[mask], y), params)
-        if not model.converged:
-            not_converged.append((i, j))
-        binaries.append(model)
+        problems.append(BinaryProblem(data.X[mask], y))
+    binaries = smo_train_many(problems, params)
     return OvOModel(
         label_names=list(data.label_names),
         pair_index=pairs,
         binaries=binaries,
         scaler=scaler,
         fingerprint=fingerprint,
-        diagnostics={"not_converged": not_converged},
+        diagnostics={"not_converged": [p for p, b in zip(pairs, binaries) if not b.converged]},
     )
 
 
@@ -252,7 +249,7 @@ def _read_model(lines) -> OvOModel:
         raise FormatError(f"expected scaler block, got {scaler_line!r}")
     try:
         n_pairs = int(next_line("pairs").split()[1])
-    except ValueError as exc:
+    except (ValueError, IndexError) as exc:
         raise FormatError("bad pair count") from exc
     dim = scaler.dim if scaler is not None else None
     vectors = {}  # vector text -> parsed vector, so a shared vector is parsed once

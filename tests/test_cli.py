@@ -64,6 +64,15 @@ class TestTrain:
         assert "# seed = 0" in captured
         assert out.exists()
 
+    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "inf"], ["--sigma", "nan"]])
+    def test_non_finite_parameter_exits_2_without_model(self, small_corpus, tmp_path, capsys,
+                                                        flags):
+        out = tmp_path / "m.svmodel"
+        code = run_cli(["train", "--corpus", str(small_corpus), "--out", str(out)] + flags)
+        assert code == EXIT_DATA
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_psd_check_flag(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "m.svmodel"
         code = run_cli([
@@ -334,11 +343,14 @@ class TestWorkersIgnored:
 MALFORMED_CONFIGS = {
     "seed": b"[experiment]\nseed = abc\n",
     "c": b"[grid]\nc = ten\n",
+    "non-finite c": b"[grid]\nc = 10 nan\n",
+    "non-finite sigma": b"[grid]\nsigma = inf\n",
     "k": b"[grid]\nk = 1.5\n",
     "sigma": b"[grid]\nsigma = wide\n",
     "hop": b"[frontend]\nhop = x\n",
     "pre_emphasis": b"[frontend]\npre_emphasis = high\n",
     "kkt_tol": b"[svm]\nkkt_tol = small\n",
+    "non-finite kkt_tol": b"[svm]\nkkt_tol = nan\n",
     "max_iter": b"[svm]\nmax_iter = 1e3\n",
     "no section header": b"seed = 1\n",
     "duplicate section": b"[grid]\nc = 10\n[grid]\n",

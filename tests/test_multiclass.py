@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vowelkit.errors import FormatError, InvalidInput
+from test_corpus import FUZZ
+from vowelkit.errors import FormatError, InvalidInput, VowelkitError
 from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
 from vowelkit.multiclass import (
     LabeledDataset,
@@ -17,7 +20,7 @@ from vowelkit.multiclass import (
     train_ovo,
 )
 from vowelkit.preprocessing import ScalerParams
-from vowelkit.svm import BinaryModel, SvmParams, decision_values
+from vowelkit.svm import BinaryModel, BinaryProblem, SvmParams, decision_values, smo_train
 
 
 def blob_dataset(k, per_class=8, seed=0, spread=0.3):
@@ -55,6 +58,24 @@ class TestTrainOvo:
     def test_label_names_must_be_sorted(self):
         with pytest.raises(InvalidInput):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), ["b", "a"])
+
+    @pytest.mark.parametrize("kernel", [Rbf(0.5), Sigmoid(0.5, -1.0)])
+    def test_binaries_equal_per_pair_smo_train(self, kernel):
+        data = blob_dataset(5, per_class=9, seed=4, spread=3.0)
+        keep = np.ones(data.labels.size, dtype=bool)
+        keep[[0, 1, 2, 10, 30, 31]] = False  # classes of unequal size, so pairs of unequal l
+        data = LabeledDataset(data.X[keep], data.labels[keep], data.label_names)
+        params = SvmParams(C=100.0, kernel=kernel)
+        model = train_ovo(data, params)
+        for (i, j), binary in zip(model.pair_index, model.binaries):
+            mask = (data.labels == i) | (data.labels == j)
+            y = np.where(data.labels[mask] == i, 1.0, -1.0)
+            one = smo_train(BinaryProblem(data.X[mask], y), params)
+            assert np.array_equal(binary.support_vectors, one.support_vectors)
+            assert np.array_equal(binary.sv_alphas, one.sv_alphas)
+            assert np.array_equal(binary.sv_labels, one.sv_labels)
+            assert (binary.bias, binary.n_iter, binary.gap, binary.converged) == (
+                one.bias, one.n_iter, one.gap, one.converged)
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInput):
@@ -351,6 +372,7 @@ def _drop_scaler_and_shorten_first_sv(lines):
 # name -> edit of a saved model's lines that load_model must reject with FormatError
 MALFORMED = {
     "version": _field("vowelkit-svmodel", 1, "one"),
+    "blank pair count": _field("pairs", 1, ""),
     "kernel parameter": _field("kernel", 2, "sigma=abc"),
     "non-finite kernel parameter": _field("kernel", 2, "sigma=nan"),
     "scaler value": _field("scaler_min", 1, "abc"),
@@ -389,3 +411,53 @@ class TestMalformedModel:
         lines = (tmp_path / "m.svmodel").read_text().splitlines()
         (tmp_path / "copy.svmodel").write_text("\n".join(lines) + "\n")
         load_model(tmp_path / "copy.svmodel")
+
+
+# tokens a fuzzed model file may gain: numbers at the edges, field names and line keys
+FUZZ_TOKENS = ["", "0", "1", "-1", "+1", "2", "99", "nan", "inf", "-inf", "1e400", "abc", "=",
+               "bias=", "C=0", "nsv=-1", "nsv=3", "converged=x", "pair", "pairs", "sv", "end",
+               "scaler", "none", "scaler none", "rbf", "sigmoid", "polynomial", "linear",
+               "sigma=0", "sigma=1", "d=0", "r=nan", "\u00e6"]
+
+
+def _mutate(lines, edit):
+    """Apply one (kind, line index, field index, token) edit to a model file's lines."""
+    kind, n, f, token = edit
+    if not lines:
+        return [token]
+    n %= len(lines)
+    if kind == "delete line":
+        return lines[:n] + lines[n + 1:]
+    if kind == "insert line":
+        return lines[:n] + [token or lines[f % len(lines)]] + lines[n:]
+    fields = lines[n].split(" ")
+    f %= len(fields)
+    if kind == "replace":
+        fields[f] = token
+    elif kind == "insert":
+        fields.insert(f, token)
+    else:
+        del fields[f]
+    return lines[:n] + [" ".join(fields)] + lines[n + 1:]
+
+
+class TestFuzzedModel:
+    @FUZZ
+    @given(st.lists(st.tuples(
+        st.sampled_from(["replace", "insert", "delete", "delete line", "insert line"]),
+        st.integers(0, 63), st.integers(0, 63),
+        st.one_of(st.sampled_from(FUZZ_TOKENS), st.text(max_size=6)),
+    ), min_size=1, max_size=4))
+    def test_only_toolkit_errors_escape(self, tmp_path, edits):
+        path = tmp_path / "m.svmodel"
+        if not path.exists():
+            save_model(TestPersistence().make_model(), path)
+        lines = path.read_text().splitlines()
+        for edit in edits:
+            lines = _mutate(lines, edit)
+        fuzzed = tmp_path / "fuzzed.svmodel"
+        fuzzed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            load_model(fuzzed)
+        except VowelkitError:
+            pass

@@ -15,6 +15,7 @@ from vowelkit.svm import (
     dual_objective,
     predict_binary,
     smo_train,
+    smo_train_many,
 )
 
 
@@ -254,3 +255,114 @@ class TestRowCachePath:
         assert np.allclose(rows.sv_alphas, full.sv_alphas, rtol=0.0, atol=1e-8)
         assert rows.bias == pytest.approx(full.bias, abs=1e-8)
         assert rows.converged and full.converged
+
+
+def assert_same_model(a, b):
+    assert np.array_equal(a.support_vectors, b.support_vectors)
+    assert np.array_equal(a.sv_alphas, b.sv_alphas)
+    assert np.array_equal(a.sv_labels, b.sv_labels)
+    assert a.bias == b.bias
+    assert a.n_iter == b.n_iter
+    assert a.gap == b.gap
+    assert a.converged == b.converged
+    assert a.C == b.C and a.kernel == b.kernel
+
+
+def random_problems(seed, sizes, dim=3, noise=0.5):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for l in sizes:
+        x = rng.normal(size=(l, dim))
+        y = np.where(x[:, 0] + noise * rng.normal(size=l) > 0, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        problems.append(BinaryProblem(x, y))
+    return problems
+
+
+class TestLockstep:
+    """smo_train_many must give smo_train's models bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [Rbf(0.5), Polynomial(0.5, 1.0, 3), Sigmoid(0.5, -1.0),
+                                        Linear()])
+    @pytest.mark.parametrize("c", [1.0, 100.0])
+    def test_unequal_sizes_match_one_by_one(self, kernel, c):
+        problems = random_problems(11, [7, 40, 2, 23, 40, 15])
+        params = SvmParams(C=c, kernel=kernel)
+        for many, one in zip(smo_train_many(problems, params),
+                             [smo_train(p, params) for p in problems]):
+            assert_same_model(many, one)
+
+    def test_indefinite_sigmoid_at_large_c(self):
+        rng = np.random.default_rng(0)
+        problems = []
+        for l in (100, 60, 80):
+            x = rng.uniform(0, 1, size=(l, 36))
+            y = np.where(x[:, :18].sum(1) + rng.normal(0, 1, l) > x[:, 18:].sum(1), 1.0, -1.0)
+            problems.append(BinaryProblem(x, y))
+        params = SvmParams(C=10000.0, kernel=Sigmoid(0.027, 0.0))
+        assert not psd_check(gram_matrix(params.kernel, problems[0].X))[0]
+        for many, problem in zip(smo_train_many(problems, params), problems):
+            assert_same_model(many, smo_train(problem, params))
+
+    def test_one_problem_stops_at_max_iter(self):
+        easy = [BinaryProblem(np.array([[0.0, 0.0], [2.0, 2.0]]), np.array([-1.0, 1.0]))] * 2
+        hard = random_problems(3, [50], noise=2.0)
+        problems = easy[:1] + hard + easy[1:]
+        params = SvmParams(C=100.0, kernel=Rbf(1.0), max_iter=10)
+        models = smo_train_many(problems, params)
+        assert [m.converged for m in models] == [True, False, True]
+        assert models[1].n_iter == 10
+        for many, problem in zip(models, problems):
+            assert_same_model(many, smo_train(problem, params))
+
+    def test_batches_under_the_gram_budget(self, monkeypatch):
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", 30)
+        batches = []
+        lockstep = svm._lockstep
+
+        def recording(problems, params):
+            batches.append([p.y.size for p in problems])
+            return lockstep(problems, params)
+
+        monkeypatch.setattr(svm, "_lockstep", recording)
+        problems = random_problems(5, [10, 12, 8, 40, 15, 20, 9])
+        params = SvmParams(C=10.0, kernel=Rbf(0.5))
+        models = smo_train_many(problems, params)
+        # at most 30**2 stacked Gram entries per batch; l = 40 takes the row-cache path
+        assert batches == [[10, 12, 8, 15], [20, 9]]
+        for many, problem in zip(models, problems):
+            assert_same_model(many, smo_train(problem, params))
+
+    def test_last_problem_continues_in_the_scalar_loop(self, monkeypatch):
+        starts = []
+        loop = svm._smo_loop
+
+        def recording(row, diag, y, params, max_iter, alpha, v, n_iter):
+            starts.append(n_iter)
+            return loop(row, diag, y, params, max_iter, alpha, v, n_iter)
+
+        monkeypatch.setattr(svm, "_smo_loop", recording)
+        params = SvmParams(C=10.0, kernel=Rbf(0.5))
+        models = smo_train_many(random_problems(9, [30, 30, 30]), params)
+        assert len(starts) == 1
+        assert 0 < starts[0] < max(m.n_iter for m in models)
+
+    def test_no_problems(self):
+        assert smo_train_many([], SvmParams(C=1.0, kernel=Linear())) == []
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["C", "kkt_tol"])
+    def test_svm_parameter_rejected(self, name, value):
+        with pytest.raises(InvalidInput):
+            SvmParams(**{"C": 1.0, "kernel": Linear(), name: value})
+
+    @pytest.mark.parametrize("make", [
+        lambda v: Rbf(v), lambda v: Polynomial(v, 0.0, 3), lambda v: Polynomial(1.0, v, 3),
+        lambda v: Sigmoid(v, 0.0), lambda v: Sigmoid(1.0, v),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_kernel_parameter_rejected(self, make, value):
+        with pytest.raises(InvalidInput):
+            make(value)
