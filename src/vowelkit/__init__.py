@@ -20,10 +20,7 @@ from .svm import (
     BinaryModel,
     BinaryProblem,
     SvmParams,
-    compute_slacks,
-    decision_value,
     dual_objective,
-    predict_binary,
     smo_train,
     smo_train_many,
 )
@@ -31,7 +28,6 @@ from .multiclass import (
     LabeledDataset,
     OvOModel,
     load_model,
-    predict_ovo,
     predict_phoneme,
     save_model,
     train_ovo,

@@ -223,11 +223,12 @@ def _cmd_predict(args):
     _echo_config({"command": "predict", "model": args.model, "audio": args.audio,
                   "phn": args.phn, "feature": args.feature, "frames": args.frames,
                   "seed": args.seed})
-    from .frame_select import select_frames
+    from .frame_select import select_frames_many
 
     # one batch over every token's frames; the front end skips a token by giving None
     token_feats = extract_token_features(tokens, frontend, {args.audio: signal})
-    frames = [select_frames(feats, selection) for _t, feats in token_feats if feats is not None]
+    frames = select_frames_many([feats for _t, feats in token_feats if feats is not None],
+                                selection)
     x = np.vstack(frames or [np.zeros((0, frontend.dim))])
     preds = predict_ovo_batch(model, apply_scaler(model.scaler, x) if model.scaler else x)
     per_token = iter(np.split(preds, np.cumsum([f.shape[0] for f in frames])[:-1]))

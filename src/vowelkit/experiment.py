@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import VOWELS, PhonemeToken, load_audio, load_corpus_tokens
 from .errors import DegenerateSpectrum, InvalidInput, TooShort, VowelkitError
-from .frame_select import Fcm, MiddleFrames, SelectionMethod, select_frames
+from .frame_select import Fcm, MiddleFrames, SelectionMethod, select_frames_many
 from .frontend import FrontendConfig, RawSignal, extract_features
 from .kernels import make_kernel
 from .multiclass import (
@@ -100,18 +100,14 @@ def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendCon
 
 
 def _assemble(token_feats, selection, label_names, split):
-    rows, frame_labels, spans, token_labels = [], [], [], []
-    skipped = 0
+    in_split = [(token, feats) for token, feats in token_feats if token.split == split]
+    kept = [(token, feats) for token, feats in in_split if feats is not None]
+    skipped = len(in_split) - len(kept)
+    rows = select_frames_many([feats for _token, feats in kept], selection)
+    frame_labels, spans, token_labels = [], [], []
     index = {name: i for i, name in enumerate(label_names)}
     cursor = 0
-    for token, feats in token_feats:
-        if token.split != split:
-            continue
-        if feats is None:
-            skipped += 1
-            continue
-        picked = select_frames(feats, selection)
-        rows.append(picked)
+    for (token, _feats), picked in zip(kept, rows):
         frame_labels.extend([index[token.label]] * picked.shape[0])
         spans.append((cursor, cursor + picked.shape[0]))
         cursor += picked.shape[0]

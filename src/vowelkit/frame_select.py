@@ -1,11 +1,31 @@
-"""Reduce a phoneme's frames to K representatives: middle window or FCM."""
+"""Reduce a phoneme's frames to K representatives: middle window or FCM.
 
+select_frames_many runs fuzzy c-means for every token of a call together:
+tokens of the same shape are stacked and iterated in one lock-step loop, and
+a token that converges or reaches max_iter leaves the stack with its state.
+Each token's arithmetic is the one-token loop's, so the picks, centers and
+memberships are the same bit for bit; fcm_cluster is a batch of one.  A
+stack's (B, N, c, D) distance intermediate holds at most the SMO lock-step
+budget of FULL_GRAM_LIMIT**2 entries.
+"""
+
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidInput
+from .svm import FULL_GRAM_LIMIT
+
+
+def _check_fcm(m, tol, max_iter):
+    if not math.isfinite(m) or m <= 1.0:
+        raise InvalidInput("fuzzifier m must be finite and > 1")
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise InvalidInput("tol must be finite and > 0")
+    if max_iter < 1:
+        raise InvalidInput("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -28,10 +48,7 @@ class Fcm:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInput("K must be >= 1")
-        if self.m <= 1.0:
-            raise InvalidInput("fuzzifier m must be > 1")
-        if self.tol <= 0.0:
-            raise InvalidInput("tol must be > 0")
+        _check_fcm(self.m, self.tol, self.max_iter)
 
 
 SelectionMethod = Union[MiddleFrames, Fcm]
@@ -45,11 +62,16 @@ class FcmState:
     n_iter: int
 
 
-def select_middle(features: np.ndarray, k: int) -> np.ndarray:
-    """Centered window of min(k, N) rows, original order preserved."""
+def _feature_matrix(features) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:
         raise InvalidInput("feature matrix must be non-empty")
+    return features
+
+
+def select_middle(features: np.ndarray, k: int) -> np.ndarray:
+    """Centered window of min(k, N) rows, original order preserved."""
+    features = _feature_matrix(features)
     n = features.shape[0]
     if n <= k:
         return features.copy()
@@ -58,17 +80,58 @@ def select_middle(features: np.ndarray, k: int) -> np.ndarray:
 
 
 def _memberships(features, centers, m):
+    """Memberships and squared distances of (..., N, D) points to (..., c, D) centers.
+
+    A point that sits on a center belongs to it alone.
+    """
     # squared distances; exponent 1/(m-1) on squared distance equals
     # 2/(m-1) on the Euclidean distance
-    d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    zero_rows = np.where(d2.min(axis=1) == 0.0)[0]
+    diff = features[..., :, None, :] - centers[..., None, :, :]
+    d2 = np.square(diff, out=diff).sum(axis=-1)
+    zero = d2.min(axis=-1) == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = d2 ** (-1.0 / (m - 1.0))
-        u = inv / inv.sum(axis=1, keepdims=True)
-    for i in zero_rows:
-        u[i] = 0.0
-        u[i, int(np.argmin(d2[i]))] = 1.0
+        u = inv / inv.sum(axis=-1, keepdims=True)
+    if zero.any():
+        u[zero] = 0.0
+        u[np.nonzero(zero) + (d2[zero].argmin(axis=-1),)] = 1.0
     return u, d2
+
+
+def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
+                  seed: int) -> List[FcmState]:
+    """Bezdek fuzzy c-means of every (N, D) token of x (B, N, D), in one loop.
+
+    Every token starts from the same seeded choice of c frames, as a
+    one-token call with that seed would.  A token leaves the stack once its
+    largest center displacement drops below tol, or after max_iter
+    iterations; its state is the memberships before and the centers after
+    its last update.
+    """
+    B, n, _ = x.shape
+    centers = x[:, np.random.default_rng(seed).choice(n, size=c, replace=False)]
+    u_next, _ = _memberships(x, centers, m)
+    states = [None] * B
+    ids = np.arange(B)  # the token in each row of the stack
+    it = 0
+    while ids.size:
+        it += 1
+        u = u_next  # the memberships of the current centers, computed once
+        um = u**m
+        new_centers = np.matmul(um.transpose(0, 2, 1), x) / um.sum(axis=1)[:, :, None]
+        shift = np.abs(new_centers - centers).max(axis=(1, 2))
+        centers = new_centers
+        u_next, d2 = _memberships(x, centers, m)
+        objective = (um * d2).reshape(ids.size, -1).sum(axis=1)
+        stop = (shift < tol) | (it >= max_iter)
+        if stop.any():
+            for r in np.flatnonzero(stop):
+                # copies, so that a finished token holds no view of the stack
+                states[ids[r]] = FcmState(centers=centers[r].copy(), membership=u[r].copy(),
+                                          objective=float(objective[r]), n_iter=it)
+            keep = ~stop
+            x, centers, u_next, ids = x[keep], centers[keep], u_next[keep], ids[keep]
+    return states
 
 
 def fcm_cluster(
@@ -82,34 +145,15 @@ def fcm_cluster(
     """Bezdek fuzzy c-means; deterministic for a given seed.
 
     Alternates membership and center updates until the largest center
-    displacement drops below tol; the objective is non-increasing.
+    displacement drops below tol; the objective is non-increasing.  A batch
+    of one of the loop select_frames_many runs.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise InvalidInput("feature matrix must be non-empty")
+    features = _feature_matrix(features)
     n = features.shape[0]
     if not 1 <= c <= n:
         raise InvalidInput(f"need 1 <= c <= N, got c={c}, N={n}")
-    if m <= 1.0:
-        raise InvalidInput("fuzzifier m must be > 1")
-
-    rng = np.random.default_rng(seed)
-    centers = features[rng.choice(n, size=c, replace=False)].copy()
-    u = None
-    u_next, _ = _memberships(features, centers, m)
-    objective = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        u = u_next  # the memberships of the current centers, computed once
-        um = u**m
-        new_centers = (um.T @ features) / um.sum(axis=0)[:, None]
-        shift = np.abs(new_centers - centers).max()
-        centers = new_centers
-        u_next, d2 = _memberships(features, centers, m)
-        objective = float((um * d2).sum())
-        if shift < tol:
-            break
-    return FcmState(centers=centers, membership=u, objective=objective, n_iter=it)
+    _check_fcm(m, tol, max_iter)
+    return _fcm_lockstep(features[None], c, m, tol, max_iter, seed)[0]
 
 
 def fcm_select(
@@ -121,18 +165,35 @@ def fcm_select(
     seed: int = 0,
 ) -> np.ndarray:
     """Pick one maximal-membership frame per cluster; rows in original order."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise InvalidInput("feature matrix must be non-empty")
-    c = min(k, features.shape[0])
-    state = fcm_cluster(features, c, m=m, tol=tol, max_iter=max_iter, seed=seed)
-    picks = sorted({int(np.argmax(state.membership[:, j])) for j in range(c)})
-    return features[picks].copy()
+    return select_frames_many([features], Fcm(k, m=m, tol=tol, max_iter=max_iter, seed=seed))[0]
 
 
 def select_frames(features: np.ndarray, method: SelectionMethod) -> np.ndarray:
+    return select_frames_many([features], method)[0]
+
+
+def select_frames_many(feature_list: Sequence[np.ndarray],
+                       method: SelectionMethod) -> List[np.ndarray]:
+    """[select_frames(f, method) for f in feature_list], with FCM run in lock-step.
+
+    Tokens are grouped by shape, so no padding is needed, and each group is
+    clustered in stacks within the budget given in the module docstring.
+    """
+    feature_list = [_feature_matrix(f) for f in feature_list]
     if isinstance(method, MiddleFrames):
-        return select_middle(features, method.k)
-    return fcm_select(
-        features, method.k, m=method.m, tol=method.tol, max_iter=method.max_iter, seed=method.seed
-    )
+        return [select_middle(f, method.k) for f in feature_list]
+    groups = {}
+    for t, features in enumerate(feature_list):
+        groups.setdefault(features.shape, []).append(t)
+    out = [None] * len(feature_list)
+    for (n, d), members in groups.items():
+        c = min(method.k, n)
+        step = max(1, FULL_GRAM_LIMIT**2 // max(1, n * c * d))
+        for s in range(0, len(members), step):
+            batch = members[s : s + step]
+            x = np.stack([feature_list[t] for t in batch])
+            states = _fcm_lockstep(x, c, method.m, method.tol, method.max_iter, method.seed)
+            for t, state in zip(batch, states):
+                picks = np.unique(state.membership.argmax(axis=0))  # sorted, one per cluster
+                out[t] = feature_list[t][picks]
+    return out

@@ -2,7 +2,9 @@
 
 All functions are pure; a signal goes in, a per-frame feature matrix comes
 out.  Frames are 256 samples with a 128-sample hop by default, which at
-16 kHz gives 16 ms frames at 125 frames per second.
+16 kHz gives 16 ms frames at 125 frames per second.  The spectral steps,
+PLP's linear-prediction recursions included, take one frame or a whole frame
+matrix, and give each frame the same values either way.
 """
 
 import functools
@@ -204,10 +206,15 @@ def equal_loudness(freq_hz):
 
 
 def auditory_spectrum(spectrum: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Bark-band integration, equal-loudness weighting, 0.33 compression."""
+    """Bark-band integration, equal-loudness weighting, 0.33 compression.
+
+    Works on a single spectrum or a frame matrix (last axis is frequency).
+    """
     spectrum = np.asarray(spectrum, dtype=float)
     weights = bark_filter_weights(spectrum.shape[-1], sample_rate)
-    bands = spectrum @ weights.T
+    # one vector-matrix product per frame, as for a single spectrum: a whole
+    # matrix product sums in another order and differs in the last bits
+    bands = np.matmul(spectrum[..., None, :], weights.T)[..., 0, :]
     n_bands = weights.shape[0]
     nyquist = sample_rate / 2.0
     centers_hz = 600.0 * np.sinh(np.arange(n_bands) / 6.0)
@@ -231,45 +238,48 @@ def autocorr_from_bands(bands: np.ndarray, order: int) -> np.ndarray:
 
 
 def levinson_durbin(r: np.ndarray, order: int):
-    """Solve the Toeplitz normal equations; returns (a, err) with a[0] = 1."""
+    """Solve the Toeplitz normal equations; returns (a, err) with a[..., 0] = 1.
+
+    r holds lags 0..order on its last axis, for one frame or a frame matrix;
+    every frame is solved in the same order-step loop.  Raises
+    DegenerateSpectrum if any frame has a non-positive error variance.
+    """
     r = np.asarray(r, dtype=float)
-    if r.size < order + 1:
+    if r.shape[-1] < order + 1:
         raise InvalidInput("need order+1 autocorrelation lags")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    if err <= 0.0:
+    a = np.zeros(r.shape[:-1] + (order + 1,))
+    a[..., 0] = 1.0
+    err = r[..., 0].copy()
+    if np.any(err <= 0.0):
         raise DegenerateSpectrum("zero-power autocorrelation")
     for i in range(1, order + 1):
-        acc = r[i] + a[1:i] @ r[i - 1 : 0 : -1]
-        k = -acc / err
-        new = a[: i + 1].copy()
+        dot = np.zeros_like(err)  # a[1:i] . r[i-1:0:-1], summed from the left
         for j in range(1, i):
-            new[j] = a[j] + k * a[i - j]
-        new[i] = k
-        a[: i + 1] = new
+            dot = dot + a[..., j] * r[..., i - j]
+        k = -(r[..., i] + dot) / err
+        a[..., 1:i] = a[..., 1:i] + k[..., None] * a[..., i - 1 : 0 : -1]
+        a[..., i] = k
         err *= 1.0 - k * k
-        if err <= 0.0:
+        if np.any(err <= 0.0):
             raise DegenerateSpectrum("non-positive prediction-error variance")
-    return a, err
+    return a, err[()]  # a scalar for one frame
 
 
 def lp_to_cepstrum(a: np.ndarray, num_ceps: int) -> np.ndarray:
-    """Cepstra c1..c_num_ceps from LP coefficients (a[0] = 1)."""
+    """Cepstra c1..c_num_ceps from LP coefficients (a[..., 0] = 1), per frame."""
     a = np.asarray(a, dtype=float)
-    c = np.zeros(num_ceps + 1)
-    order = a.size - 1
+    order = a.shape[-1] - 1
+    c = np.zeros(a.shape[:-1] + (num_ceps + 1,))
     for n in range(1, num_ceps + 1):
-        acc = -a[n] if n <= order else 0.0
-        for k in range(1, n):
-            if n - k <= order:
-                acc -= (k / n) * c[k] * a[n - k]
-        c[n] = acc
-    return c[1:]
+        acc = -a[..., n] if n <= order else np.zeros(a.shape[:-1])
+        for k in range(max(1, n - order), n):
+            acc = acc - (k / n) * c[..., k] * a[..., n - k]
+        c[..., n] = acc
+    return c[..., 1:]
 
 
 def plp(spectrum: np.ndarray, sample_rate: int, lp_order: int, num_ceps: int) -> np.ndarray:
-    """Perceptual linear prediction cepstra for one power half-spectrum."""
+    """Perceptual linear prediction cepstra of a power half-spectrum or a frame matrix."""
     if num_ceps > lp_order:
         raise InvalidInput("num_ceps must be <= lp_order")
     bands = auditory_spectrum(spectrum, sample_rate)
@@ -309,9 +319,7 @@ def extract_features(signal: RawSignal, config: FrontendConfig) -> np.ndarray:
         log_e = mel_filterbank(spectra, signal.sample_rate, config.num_mel_filters)
         feats = mfcc(log_e, config.num_ceps)
     else:
-        feats = np.stack(
-            [plp(row, signal.sample_rate, config.lp_order, config.num_ceps) for row in spectra]
-        )
+        feats = plp(spectra, signal.sample_rate, config.lp_order, config.num_ceps)
     if config.with_deltas:
         feats = append_deltas(feats)
     return feats

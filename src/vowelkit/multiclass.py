@@ -55,11 +55,12 @@ def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
     """Train k(k-1)/2 binary models, class i mapped to +1 and j to -1, in one smo_train_many."""
     k = len(data.label_names)
     pairs = list(itertools.combinations(range(k), 2))
+    counts = np.bincount(data.labels, minlength=k)
     problems = []
     for i, j in pairs:
-        mask = (data.labels == i) | (data.labels == j)
-        if not mask.any() or np.unique(data.labels[mask]).size < 2:
+        if not (counts[i] and counts[j]):
             raise InvalidInput(f"classes {i} and {j} lack training samples")
+        mask = (data.labels == i) | (data.labels == j)
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
         problems.append(BinaryProblem(data.X[mask], y))
     binaries = smo_train_many(problems, params)
@@ -118,13 +119,6 @@ def predict_ovo_batch(model: OvOModel, X: np.ndarray) -> np.ndarray:
     votes, strength = _votes_and_scores(model, X)
     top = votes == votes.max(axis=1, keepdims=True)
     return np.argmax(np.where(top, strength, -np.inf), axis=1)  # first maximum: lowest id
-
-
-def predict_ovo(model: OvOModel, x: np.ndarray) -> int:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput("x must be a vector")
-    return int(predict_ovo_batch(model, x[None, :])[0])
 
 
 def phoneme_vote(frame_preds: np.ndarray, k: int) -> int:

@@ -48,7 +48,8 @@ class BinaryProblem:
             raise InvalidInput("need at least two training points")
         if not np.all(np.isfinite(self.X)):
             raise InvalidInput("training points must be finite")
-        if set(np.unique(self.y)) != {-1.0, 1.0}:
+        pos = self.y == 1.0
+        if pos.all() or not pos.any() or not np.all(pos | (self.y == -1.0)):
             raise InvalidInput("labels must contain both -1 and +1")
 
 
@@ -273,24 +274,6 @@ def decision_values(model: BinaryModel, X: np.ndarray) -> np.ndarray:
         raise InvalidInput("feature dimension mismatch")
     k = gram_matrix(model.kernel, X, model.support_vectors)
     return k @ (model.sv_alphas * model.sv_labels) + model.bias
-
-
-def decision_value(model: BinaryModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise InvalidInput("x must be a vector")
-    return float(decision_values(model, x[None, :])[0])
-
-
-def predict_binary(model: BinaryModel, x: np.ndarray) -> int:
-    """sign(f(x)) with f(x) = 0 mapped to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
-
-
-def compute_slacks(model: BinaryModel, problem: BinaryProblem) -> np.ndarray:
-    """xi_i = max(0, 1 - y_i f(x_i)) over the training set."""
-    f = decision_values(model, problem.X)
-    return np.maximum(0.0, 1.0 - problem.y * f)
 
 
 def dual_objective(model: BinaryModel, problem: BinaryProblem) -> float:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import vowelkit.frame_select as frame_select
 from vowelkit.errors import InvalidInput
 from vowelkit.frame_select import (
     Fcm,
     MiddleFrames,
+    _fcm_lockstep,
     fcm_cluster,
     fcm_select,
     select_frames,
+    select_frames_many,
     select_middle,
 )
 
@@ -196,3 +199,150 @@ class TestSelectFrames:
             MiddleFrames(0)
         with pytest.raises(InvalidInput):
             Fcm(3, m=0.5)
+
+
+def _one_token_memberships(features, centers, m):
+    """The one-token membership step as it was, zero-distance rows fixed in a loop."""
+    d2 = ((features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    zero_rows = np.where(d2.min(axis=1) == 0.0)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = d2 ** (-1.0 / (m - 1.0))
+        u = inv / inv.sum(axis=1, keepdims=True)
+    for i in zero_rows:
+        u[i] = 0.0
+        u[i, int(np.argmin(d2[i]))] = 1.0
+    return u, d2
+
+
+def _one_token_fcm(features, c, m=2.0, tol=1e-5, max_iter=300, seed=0):
+    """fcm_cluster as it was: one token per call, in its own loop."""
+    rng = np.random.default_rng(seed)
+    centers = features[rng.choice(features.shape[0], size=c, replace=False)].copy()
+    u_next, _ = _one_token_memberships(features, centers, m)
+    for it in range(1, max_iter + 1):
+        u = u_next
+        um = u**m
+        new_centers = (um.T @ features) / um.sum(axis=0)[:, None]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        u_next, d2 = _one_token_memberships(features, centers, m)
+        objective = float((um * d2).sum())
+        if shift < tol:
+            break
+    return centers, u, objective, it
+
+
+def _one_token_picks(features, k, **kw):
+    c = min(k, features.shape[0])
+    _centers, u, _objective, _it = _one_token_fcm(features, c, **kw)
+    return features[sorted({int(np.argmax(u[:, j])) for j in range(c)})]
+
+
+def _tokens(seed, count, frames, dim=36):
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.choice(frames))
+        x = rng.normal(size=(n, dim))
+        if t % 3 == 0 and n > 2 * 7:
+            x[1] = x[0]  # repeated frames give zero distances to a center
+        out.append(x)
+    return out
+
+
+def _assert_state_equal(state, want):
+    centers, u, objective, n_iter = want
+    assert np.array_equal(state.centers, centers)
+    assert np.array_equal(state.membership, u)
+    assert state.objective == objective
+    assert state.n_iter == n_iter
+
+
+class TestFcmLockstep:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_mixed_frame_counts_equal_one_token_loop(self, k):
+        tokens = _tokens(20 + k, 40, frames=[1, 2, 5, 7, 9, 24])
+        assert len({t.shape[0] for t in tokens}) > 1
+        got = select_frames_many(tokens, Fcm(k, seed=4))
+        for x, picked in zip(tokens, got):
+            assert np.array_equal(picked, _one_token_picks(x, k, seed=4))
+
+    def test_stacked_states_equal_one_token_loop(self):
+        tokens = _tokens(31, 12, frames=[24])
+        states = _fcm_lockstep(np.stack(tokens), 7, 2.0, 1e-5, 300, 5)
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, 7, seed=5))
+
+    def test_zero_distances(self):
+        rng = np.random.default_rng(32)
+        base = rng.normal(size=(10, 3))
+        tokens = [np.vstack([base, base[:4]]) + t for t in range(6)]  # every token repeats frames
+        states = _fcm_lockstep(np.stack(tokens), 4, 2.0, 1e-5, 300, 1)
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, 4, seed=1))
+        # the seeded start puts a center on a frame, and its memberships are one-hot
+        u, d2 = frame_select._memberships(np.stack(tokens), np.stack(tokens)[:, :2], 2.0)
+        assert np.array_equal(u[:, :2], np.broadcast_to(np.eye(2), (6, 2, 2)))
+        assert np.array_equal(u, np.stack([_one_token_memberships(x, x[:2], 2.0)[0]
+                                           for x in tokens]))
+
+    def test_one_token_stops_at_max_iter(self):
+        rng = np.random.default_rng(33)
+        blobs = [np.vstack([rng.normal(0.0, 0.01, size=(6, 2)),
+                            rng.normal(9.0, 0.01, size=(6, 2))]) for _ in range(4)]
+        tokens = blobs + [rng.normal(size=(12, 2))]  # uniform noise converges slowly
+        states = _fcm_lockstep(np.stack(tokens), 2, 2.0, 1e-12, 8, 2)
+        n_iters = [state.n_iter for state in states]
+        assert n_iters[-1] == 8 and min(n_iters) < 8
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, 2, tol=1e-12, max_iter=8, seed=2))
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_c_equals_n_and_n_below_k(self, n):
+        tokens = _tokens(34 + n, 8, frames=[n])
+        states = _fcm_lockstep(np.stack(tokens), n, 2.0, 1e-5, 300, 0)
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, n, seed=0))
+        for x, picked in zip(tokens, select_frames_many(tokens, Fcm(7))):
+            assert np.array_equal(picked, _one_token_picks(x, 7))
+
+    def test_stacks_split_within_budget(self, monkeypatch):
+        tokens = _tokens(35, 30, frames=[5, 24])
+        want = select_frames_many(tokens, Fcm(7))
+        monkeypatch.setattr(frame_select, "FULL_GRAM_LIMIT", 140)  # 3 tokens of 24 frames
+        got = select_frames_many(tokens, Fcm(7))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_fcm_cluster_is_a_batch_of_one(self):
+        x = _tokens(36, 1, frames=[24])[0]
+        _assert_state_equal(fcm_cluster(x, 7, seed=3), _one_token_fcm(x, 7, seed=3))
+
+    def test_middle_and_empty_list(self):
+        tokens = _tokens(37, 5, frames=[2, 9])
+        got = select_frames_many(tokens, MiddleFrames(3))
+        assert all(np.array_equal(g, select_middle(x, 3)) for g, x in zip(got, tokens))
+        assert select_frames_many([], Fcm(3)) == []
+        with pytest.raises(InvalidInput):
+            select_frames_many([np.zeros((4, 2)), np.zeros((0, 2))], Fcm(3))
+
+
+class TestFcmParameters:
+    @pytest.mark.parametrize("kw", [
+        {"m": float("nan")}, {"m": float("inf")}, {"m": 1.0},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+        {"max_iter": 0}, {"max_iter": -1},
+    ])
+    def test_rejected_everywhere(self, kw):
+        feats = np.random.default_rng(0).normal(size=(6, 2))
+        with pytest.raises(InvalidInput):
+            Fcm(3, **kw)
+        with pytest.raises(InvalidInput):
+            fcm_cluster(feats, 2, **kw)
+        with pytest.raises(InvalidInput):
+            fcm_select(feats, 3, **kw)
+
+    def test_one_iteration_is_written(self):
+        feats = np.random.default_rng(1).normal(size=(6, 2))
+        state = fcm_cluster(feats, 2, max_iter=1)
+        assert state.n_iter == 1 and state.membership.shape == (6, 2)
+        assert fcm_select(feats, 2, max_iter=1).shape[0] >= 1

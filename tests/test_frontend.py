@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import vowelkit.frontend as frontend
+from vowelkit.corpus import PhonemeToken
 from vowelkit.errors import DegenerateSpectrum, InvalidInput, TooShort
+from vowelkit.experiment import extract_token_features
 from vowelkit.frontend import (
     FrontendConfig,
     RawSignal,
     append_deltas,
     apply_hamming,
     autocorr_from_bands,
+    bark_filter_weights,
+    equal_loudness,
     extract_features,
     frame_signal,
     hamming_window,
@@ -290,3 +295,97 @@ class TestFilterWeightCache:
             monkeypatch.setattr(frontend, name, getattr(frontend, name).__wrapped__)
         fresh = extract_features(x, FrontendConfig(feature_kind=kind))
         assert np.array_equal(cached, fresh)
+
+
+def _one_frame_plp(spectrum, sample_rate, lp_order, num_ceps):
+    """PLP of one power spectrum as it was computed frame by frame, in scalar loops."""
+    weights = bark_filter_weights(spectrum.shape[-1], sample_rate)
+    centers_hz = np.minimum(600.0 * np.sinh(np.arange(weights.shape[0]) / 6.0), sample_rate / 2)
+    loud = equal_loudness(np.maximum(centers_hz, 1.0))
+    bands = np.maximum((spectrum @ weights.T) * loud, 1e-10) ** 0.33
+    r = autocorr_from_bands(bands, lp_order)
+    a = np.zeros(lp_order + 1)
+    a[0] = 1.0
+    err = r[0]
+    if err <= 0.0:
+        raise DegenerateSpectrum("zero-power autocorrelation")
+    for i in range(1, lp_order + 1):
+        acc = r[i] + a[1:i] @ r[i - 1 : 0 : -1]
+        k = -acc / err
+        new = a[: i + 1].copy()
+        for j in range(1, i):
+            new[j] = a[j] + k * a[i - j]
+        new[i] = k
+        a[: i + 1] = new
+        err *= 1.0 - k * k
+        if err <= 0.0:
+            raise DegenerateSpectrum("non-positive prediction-error variance")
+    c = np.zeros(num_ceps + 1)
+    for n in range(1, num_ceps + 1):
+        acc = -a[n] if n <= lp_order else 0.0
+        for k in range(1, n):
+            if n - k <= lp_order:
+                acc -= (k / n) * c[k] * a[n - k]
+        c[n] = acc
+    return c[1:]
+
+
+def _degenerate_fifth_frame(monkeypatch, lags):
+    """Make frame 4 of every token of at least five frames degenerate."""
+    original = frontend.autocorr_from_bands
+
+    def patched(bands, order):
+        r = original(bands, order)
+        if r.ndim == 2 and r.shape[0] >= 5:
+            r[4] = lags[: order + 1]
+        return r
+
+    monkeypatch.setattr(frontend, "autocorr_from_bands", patched)
+
+
+class TestFrameBatchedPlp:
+    @pytest.mark.parametrize("lp_order, num_ceps", [(12, 12), (12, 8), (4, 4)])
+    def test_equals_one_frame_loop(self, lp_order, num_ceps):
+        rng = np.random.default_rng(40 + lp_order + num_ceps)
+        config = FrontendConfig(feature_kind="plp", lp_order=lp_order, num_ceps=num_ceps)
+        for _ in range(6):
+            signal = sig(rng.normal(size=int(rng.integers(256, 4000))) * rng.uniform(0.01, 1.0))
+            frames = frame_signal(pre_emphasize(signal, 0.95), 256, 128)
+            spectra = power_spectrum(apply_hamming(frames))
+            want = np.stack([_one_frame_plp(row, 16000, lp_order, num_ceps) for row in spectra])
+            assert np.array_equal(extract_features(signal, config), append_deltas(want))
+            assert np.array_equal(plp(spectra, 16000, lp_order, num_ceps), want)
+            assert np.array_equal(plp(spectra[0], 16000, lp_order, num_ceps), want[0])
+
+    def test_rows_equal_single_frame_calls(self):
+        rng = np.random.default_rng(41)
+        r = np.stack([autocorr_from_bands(rng.uniform(0.1, 2.0, size=20), 12) for _ in range(9)])
+        a, err = levinson_durbin(r, 12)
+        assert a.shape == (9, 13) and err.shape == (9,)
+        for row, a_row, err_row in zip(r, a, err):
+            a_one, err_one = levinson_durbin(row, 12)
+            assert np.array_equal(a_one, a_row) and err_one == err_row
+        ceps = lp_to_cepstrum(a, 12)
+        assert np.array_equal(ceps, np.stack([lp_to_cepstrum(row, 12) for row in a]))
+
+    @pytest.mark.parametrize("lags", [np.zeros(13), np.ones(13)])
+    def test_one_degenerate_frame_fails_the_token(self, lags):
+        r = np.stack([autocorr_from_bands(np.ones(20), 12)] * 6)
+        r[4] = lags
+        with pytest.raises(DegenerateSpectrum):
+            levinson_durbin(r, 12)
+
+    @pytest.mark.parametrize("lags", [np.zeros(13), np.ones(13)])
+    def test_degenerate_token_raises_and_is_skipped(self, monkeypatch, lags):
+        _degenerate_fifth_frame(monkeypatch, lags)
+        rng = np.random.default_rng(42)
+        samples = rng.normal(size=4000)
+        config = FrontendConfig(feature_kind="plp")
+        with pytest.raises(DegenerateSpectrum):
+            extract_features(sig(samples[:1024]), config)  # 7 frames
+        assert extract_features(sig(samples[:512]), config).shape == (3, 36)
+        tokens = [PhonemeToken("aa", 0, 512, "u", "test", "u.wav"),
+                  PhonemeToken("aa", 512, 1536, "u", "test", "u.wav"),
+                  PhonemeToken("iy", 1536, 2048, "u", "test", "u.wav")]
+        got = extract_token_features(tokens, config, {"u.wav": sig(samples)})
+        assert [feats is None for _token, feats in got] == [False, True, False]

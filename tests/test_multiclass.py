@@ -13,7 +13,6 @@ from vowelkit.multiclass import (
     OvOModel,
     _votes_and_scores,
     load_model,
-    predict_ovo,
     predict_ovo_batch,
     predict_phoneme,
     save_model,
@@ -92,7 +91,7 @@ class TestPredictOvo:
     def test_two_class_vote(self):
         data = blob_dataset(2, seed=2)
         model = train_ovo(data, SvmParams(C=10.0, kernel=Linear()))
-        assert predict_ovo(model, data.X[0]) == 0
+        assert predict_ovo_batch(model, data.X[:1])[0] == 0
 
     def test_class_ids_in_range(self):
         data = blob_dataset(5, seed=3)
@@ -145,11 +144,12 @@ class TestPredictOvo:
         rng = np.random.default_rng(10)
         from vowelkit.multiclass import _votes_and_scores
 
-        for x in rng.uniform(-12, 12, size=(200, 2)):
-            votes, strength = _votes_and_scores(model, x[None, :])
-            tied = np.where(votes[0] == votes[0].max())[0]
-            expected = int(tied[np.argmax(strength[0, tied])])
-            assert predict_ovo(model, x) == expected
+        probes = rng.uniform(-12, 12, size=(200, 2))
+        votes, strength = _votes_and_scores(model, probes)
+        preds = predict_ovo_batch(model, probes)
+        for v, s, pred in zip(votes, strength, preds):
+            tied = np.where(v == v.max())[0]
+            assert pred == int(tied[np.argmax(s[tied])])
 
 
 class TestPredictPhoneme:
@@ -157,7 +157,7 @@ class TestPredictPhoneme:
         data = blob_dataset(3, seed=11)
         model = train_ovo(data, SvmParams(C=10.0, kernel=Rbf(0.5)))
         x = data.X[0]
-        assert predict_phoneme(model, x[None, :]) == predict_ovo(model, x)
+        assert predict_phoneme(model, x[None, :]) == predict_ovo_batch(model, x[None, :])[0]
 
     def test_majority_over_frames(self):
         data = blob_dataset(3, seed=12)

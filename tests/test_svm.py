@@ -9,11 +9,8 @@ from vowelkit.svm import (
     BinaryModel,
     BinaryProblem,
     SvmParams,
-    compute_slacks,
-    decision_value,
     decision_values,
     dual_objective,
-    predict_binary,
     smo_train,
     smo_train_many,
 )
@@ -44,21 +41,32 @@ class TestAnalyticTwoPoint:
         assert np.allclose(w, [0.5, 0.5], atol=1e-6)
 
     def test_decision_values_on_line(self, two_point_model):
-        assert decision_value(two_point_model, np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-6)
-        assert decision_value(two_point_model, np.array([2.0, 2.0])) == pytest.approx(1.0, abs=1e-6)
-        assert decision_value(two_point_model, np.array([0.0, 0.0])) == pytest.approx(-1.0, abs=1e-6)
+        f = decision_values(two_point_model, np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+        assert np.allclose(f, [0.0, 1.0, -1.0], atol=1e-6)
 
 
 class TestPredictBinary:
     def test_sign_convention(self, two_point_model):
-        assert predict_binary(two_point_model, np.array([3.0, 3.0])) == 1
-        assert predict_binary(two_point_model, np.array([-1.0, -1.0])) == -1
-        # f(x) = 0 on the midpoint: declared tie rule is +1
-        assert predict_binary(two_point_model, np.array([1.0, 1.0])) == 1
+        from vowelkit.multiclass import OvOModel, predict_ovo_batch
+
+        f = decision_values(two_point_model, np.array([[3.0, 3.0], [-1.0, -1.0]]))
+        assert f[0] > 0.0 and f[1] < 0.0
+        # f(x) = 0 exactly: the declared tie rule is +1, the pair's first class
+        flat = BinaryModel(np.zeros((0, 2)), [], [], bias=0.0, kernel=Linear())
+        model = OvOModel(["a", "b"], [(0, 1)], [flat])
+        assert decision_values(flat, np.zeros((1, 2)))[0] == 0.0
+        assert predict_ovo_batch(model, np.zeros((1, 2)))[0] == 0
 
     def test_dimension_mismatch(self, two_point_model):
         with pytest.raises(InvalidInput):
-            decision_value(two_point_model, np.zeros(3))
+            decision_values(two_point_model, np.zeros((1, 3)))
+        with pytest.raises(InvalidInput):
+            decision_values(two_point_model, np.zeros(2))
+
+
+def _slacks(model, problem):
+    """xi_i = max(0, 1 - y_i f(x_i)) over the training set."""
+    return np.maximum(0.0, 1.0 - problem.y * decision_values(model, problem.X))
 
 
 class TestSlacks:
@@ -75,7 +83,7 @@ class TestSlacks:
             np.array([[2.0], [1.0], [0.5]]), np.array([1.0, 1.0, -1.0])
         )
         # f(x) = x here; y*f = 2, 1, -0.5
-        slacks = compute_slacks(model, problem)
+        slacks = _slacks(model, problem)
         assert np.allclose(slacks, [0.0, 0.0, 1.5])
 
     def test_nonnegative_on_random_problems(self):
@@ -85,7 +93,7 @@ class TestSlacks:
         y[y == 0] = 1.0
         problem = BinaryProblem(x, y)
         model = smo_train(problem, SvmParams(C=1.0, kernel=Rbf(0.5)))
-        assert np.all(compute_slacks(model, problem) >= 0.0)
+        assert np.all(_slacks(model, problem) >= 0.0)
 
 
 class TestInvariants:
