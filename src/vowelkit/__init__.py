@@ -31,6 +31,7 @@ from .multiclass import (
     predict_phoneme,
     save_model,
     train_ovo,
+    train_ovo_many,
 )
 from .experiment import ExperimentConfig, RunReport, build_dataset, evaluate, grid_search
 

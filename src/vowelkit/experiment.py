@@ -21,7 +21,7 @@ from .multiclass import (
     OvOModel,
     phoneme_vote,
     predict_ovo_batch,
-    train_ovo,
+    train_ovo_many,
 )
 from .preprocessing import ScalerParams, apply_scaler, fit_scaler
 from .svm import SvmParams
@@ -242,15 +242,7 @@ class RunReport:
         return RunReport(cells=cells, config_echo=data["config"], seed=data["seed"])
 
 
-def _run_cell(cell: GridCell, datasets, config: ExperimentConfig):
-    key = (cell.feature, cell.K, cell.method)
-    train, test, scaler = datasets[key]
-    kernel = make_kernel(cell.kernel, cell.sigma)
-    params = SvmParams(C=cell.C, kernel=kernel, kkt_tol=config.kkt_tol,
-                       max_iter=config.max_iter)
-    t0 = time.perf_counter()
-    model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint, scaler=scaler)
-    cell.train_s = time.perf_counter() - t0
+def _evaluate_cell(cell: GridCell, model: OvOModel, train: FrameDataset, test: FrameDataset):
     t0 = time.perf_counter()
     metrics = evaluate(model, test)
     cell.test_s = time.perf_counter() - t0
@@ -262,7 +254,6 @@ def _run_cell(cell: GridCell, datasets, config: ExperimentConfig):
     cell.n_train = train.n_tokens
     cell.n_test = test.n_tokens
     cell.skipped = train.skipped + test.skipped
-    return model
 
 
 def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken]] = None,
@@ -270,7 +261,9 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
     """Cartesian sweep over the configured grid; one GridCell per setting.
 
     Features are extracted once per feature kind and reused across cells.
-    A failing cell records its error and does not abort the sweep.
+    The cells of one dataset (feature, K, method) are trained in one
+    train_ovo_many call, and each records an equal share of its seconds as
+    train_s.  A failing cell records its error and does not abort the sweep.
     """
     if tokens is None:
         tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
@@ -304,16 +297,44 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
          )),
         key=lambda c: c.coords,
     )
-    best_model, best_score = None, None
-    for cell in cells:
-        try:
-            model = _run_cell(cell, datasets, config)
-        except VowelkitError as exc:
-            cell.error = str(exc)
+    groups: Dict[tuple, List[Tuple[int, GridCell]]] = {}
+    for n, cell in enumerate(cells):
+        groups.setdefault((cell.feature, cell.K, cell.method), []).append((n, cell))
+    best_model, best_rank = None, None
+    for key, group in groups.items():
+        train, test, scaler = datasets[key]
+        ready, params_list = [], []
+        for n, cell in group:
+            try:
+                params_list.append(SvmParams(
+                    C=cell.C, kernel=make_kernel(cell.kernel, cell.sigma),
+                    kkt_tol=config.kkt_tol, max_iter=config.max_iter))
+            except VowelkitError as exc:
+                cell.error = str(exc)
+                continue
+            ready.append((n, cell))
+        if not ready:
             continue
-        # strictly greater keeps the first best cell in sorted order
-        if best_score is None or (cell.phoneme_acc, cell.frame_acc) > best_score:
-            best_model, best_score = model, (cell.phoneme_acc, cell.frame_acc)
+        t0 = time.perf_counter()
+        try:
+            models = train_ovo_many(train.as_labeled(), params_list,
+                                    fingerprint=train.fingerprint, scaler=scaler)
+        except VowelkitError as exc:
+            for _n, cell in ready:
+                cell.error = str(exc)
+            continue
+        train_s = (time.perf_counter() - t0) / len(ready)
+        for (n, cell), model in zip(ready, models):
+            cell.train_s = train_s
+            try:
+                _evaluate_cell(cell, model, train, test)
+            except VowelkitError as exc:
+                cell.error = str(exc)
+                continue
+            # the higher score wins, and a tie goes to the first cell in sorted order
+            rank = (cell.phoneme_acc, cell.frame_acc, -n)
+            if best_rank is None or rank > best_rank:
+                best_model, best_rank = model, rank
 
     echo = {
         "corpus_root": str(config.corpus_root),

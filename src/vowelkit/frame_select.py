@@ -106,7 +106,8 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
     one-token call with that seed would.  A token leaves the stack once its
     largest center displacement drops below tol, or after max_iter
     iterations; its state is the memberships before and the centers after
-    its last update.
+    its last update.  A cluster that no frame belongs to keeps its center,
+    which happens when c == N and two frames are equal.
     """
     B, n, _ = x.shape
     centers = x[:, np.random.default_rng(seed).choice(n, size=c, replace=False)]
@@ -118,17 +119,21 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
         it += 1
         u = u_next  # the memberships of the current centers, computed once
         um = u**m
-        new_centers = np.matmul(um.transpose(0, 2, 1), x) / um.sum(axis=1)[:, :, None]
+        new_centers = np.matmul(um.transpose(0, 2, 1), x)
+        weight = um.sum(axis=1)
+        empty = weight == 0.0  # a cluster that no frame belongs to keeps its center
+        if empty.any():
+            new_centers[empty], weight[empty] = centers[empty], 1.0
+        new_centers /= weight[:, :, None]
         shift = np.abs(new_centers - centers).max(axis=(1, 2))
         centers = new_centers
         u_next, d2 = _memberships(x, centers, m)
-        objective = (um * d2).reshape(ids.size, -1).sum(axis=1)
         stop = (shift < tol) | (it >= max_iter)
         if stop.any():
             for r in np.flatnonzero(stop):
                 # copies, so that a finished token holds no view of the stack
                 states[ids[r]] = FcmState(centers=centers[r].copy(), membership=u[r].copy(),
-                                          objective=float(objective[r]), n_iter=it)
+                                          objective=float((um[r] * d2[r]).sum()), n_iter=it)
             keep = ~stop
             x, centers, u_next, ids = x[keep], centers[keep], u_next[keep], ids[keep]
     return states

@@ -3,7 +3,7 @@
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,16 @@ class OvOModel:
 def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
               scaler: Optional[ScalerParams] = None) -> OvOModel:
     """Train k(k-1)/2 binary models, class i mapped to +1 and j to -1, in one smo_train_many."""
+    return train_ovo_many(data, [params], fingerprint, scaler)[0]
+
+
+def train_ovo_many(data: LabeledDataset, params_list: Sequence[SvmParams],
+                   fingerprint: str = "", scaler: Optional[ScalerParams] = None) -> List[OvOModel]:
+    """[train_ovo(data, params, ...) for params in params_list] in one smo_train_many.
+
+    The pair problems are built once and shared by every params, so pairs that
+    differ only in C share one Gram block.
+    """
     k = len(data.label_names)
     pairs = list(itertools.combinations(range(k), 2))
     counts = np.bincount(data.labels, minlength=k)
@@ -63,15 +73,20 @@ def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
         mask = (data.labels == i) | (data.labels == j)
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
         problems.append(BinaryProblem(data.X[mask], y))
-    binaries = smo_train_many(problems, params)
-    return OvOModel(
-        label_names=list(data.label_names),
-        pair_index=pairs,
-        binaries=binaries,
-        scaler=scaler,
-        fingerprint=fingerprint,
-        diagnostics={"not_converged": [p for p, b in zip(pairs, binaries) if not b.converged]},
-    )
+    solved = smo_train_many(problems * len(params_list),
+                            [q for q in params_list for _pair in pairs])
+    models = []
+    for c in range(len(params_list)):
+        binaries = solved[c * len(pairs) : (c + 1) * len(pairs)]
+        models.append(OvOModel(
+            label_names=list(data.label_names),
+            pair_index=pairs,
+            binaries=binaries,
+            scaler=scaler,
+            fingerprint=fingerprint,
+            diagnostics={"not_converged": [p for p, b in zip(pairs, binaries) if not b.converged]},
+        ))
+    return models
 
 
 def _model_kernel(model: OvOModel) -> KernelSpec:

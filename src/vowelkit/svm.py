@@ -8,21 +8,24 @@ violation gap m(alpha) - M(alpha) is at most kkt_tol.  Indefinite kernels
 2006), so every step still decreases the objective.
 
 smo_train_many solves many problems at once, as the one-vs-one pairs of a
-multiclass SVM (ThunderSVM; Wen et al., JMLR 2018).  The problems' states are
-stacked as zero-padded (P, L) arrays and every step selects and updates all
-active problems together (Catanzaro, Sundaram & Keutzer, ICML 2008).  The
-elementwise arithmetic of each problem is smo_train's, so the models are the
-same bit for bit.  A problem that stops leaves the stack; when one is left it
-continues in smo_train's own loop, which costs less per update.  Problems are
-batched in order so that a batch's stacked Gram holds at most FULL_GRAM_LIMIT**2
-entries, the size of the largest single Gram; a problem with more than
+multiclass SVM, or those pairs under every (kernel, C) of a grid (ThunderSVM;
+Wen et al., JMLR 2018).  Each problem has its own SvmParams: C, kkt_tol and
+max_iter are per-row state.  The problems' states are stacked as zero-padded
+(P, L) arrays and every step selects and updates all active problems together
+(Catanzaro, Sundaram & Keutzer, ICML 2008).  The elementwise arithmetic of
+each problem is smo_train's, so the models are the same bit for bit.  A Gram
+block belongs to a (problem object, kernel) key, so problems that differ only
+in C share one block.  A problem that stops leaves the stack; when one is left
+it continues in smo_train's own loop, which costs less per update.  Batches
+count distinct blocks: a batch's blocks hold at most FULL_GRAM_LIMIT**2
+entries, the size of the largest single Gram.  A problem with more than
 FULL_GRAM_LIMIT rows is solved alone with cached Gram rows.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -171,95 +174,123 @@ def _model(problem: BinaryProblem, params: SvmParams, alpha, v, n_iter, m, M) ->
     )
 
 
-def smo_train_many(problems: Sequence[BinaryProblem], params: SvmParams) -> List[BinaryModel]:
-    """[smo_train(p, params) for p in problems], bit for bit, solved in lock-step.
+def smo_train_many(problems: Sequence[BinaryProblem],
+                   params: Union[SvmParams, Sequence[SvmParams]]) -> List[BinaryModel]:
+    """[smo_train(p, q) for p, q in zip(problems, params)], bit for bit, solved in lock-step.
 
-    Problems are taken in order into batches whose stacked Gram holds at most
-    FULL_GRAM_LIMIT**2 entries; a problem above FULL_GRAM_LIMIT rows goes to
-    smo_train alone.  See the module docstring.
+    params is one SvmParams for every problem or one per problem.  The same
+    problem object under the same kernel has one Gram block, whatever its C.
+    Taken in order of their block's first appearance, problems go into batches
+    whose distinct blocks hold at most FULL_GRAM_LIMIT**2 entries; a problem
+    above FULL_GRAM_LIMIT rows goes to smo_train alone.  See the module docstring.
     """
+    if isinstance(params, SvmParams):
+        params = [params] * len(problems)
+    if len(params) != len(problems):
+        raise InvalidInput("need one SvmParams for all problems or one per problem")
     models = [None] * len(problems)
-    batches, width = [[]], 0
-    for n, problem in enumerate(problems):
-        l = problem.y.size
-        if l > FULL_GRAM_LIMIT:
-            models[n] = smo_train(problem, params)
-            continue
+    blocks = {}  # Gram block key -> the positions of its problems
+    for n, (problem, q) in enumerate(zip(problems, params)):
+        if problem.y.size > FULL_GRAM_LIMIT:
+            models[n] = smo_train(problem, q)
+        else:
+            blocks.setdefault((id(problem), q.kernel), []).append(n)
+    batches, width, n_blocks = [[]], 0, 0
+    for members in blocks.values():
+        l = problems[members[0]].y.size
         width = max(width, l)
-        if (len(batches[-1]) + 1) * width * width > FULL_GRAM_LIMIT**2:
+        if (n_blocks + 1) * width * width > FULL_GRAM_LIMIT**2:
             batches.append([])
-            width = l
-        batches[-1].append(n)
+            width, n_blocks = l, 0
+        batches[-1] += members
+        n_blocks += 1
     for batch in batches:
-        for n, model in zip(batch, _lockstep([problems[n] for n in batch], params)):
+        solved = _lockstep([problems[n] for n in batch], [params[n] for n in batch])
+        for n, model in zip(batch, solved):
             models[n] = model
     return models
 
 
-def _lockstep(problems: List[BinaryProblem], params: SvmParams) -> List[BinaryModel]:
+def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[BinaryModel]:
     """One loop of smo_train's updates over every problem's state stacked as (P, L)."""
     if len(problems) <= 1:
-        return [smo_train(p, params) for p in problems]
-    C = float(params.C)
+        return [smo_train(p, q) for p, q in zip(problems, params)]
     sizes = [p.y.size for p in problems]
     P, L = len(problems), max(sizes)
-    # row p*L + s of G is row s of problem p's Gram; the state is (P, L), zero-padded
-    G = np.zeros((P * L, L))
+    keys = [(id(p), q.kernel) for p, q in zip(problems, params)]
+    # G stacks one Gram block per key, L rows apart, and base holds each problem's
+    # block offset; the state is (P, L), zero-padded
+    G = np.zeros((len(set(keys)) * L, L))
+    offsets = {}  # key -> its block's offset
+    base = np.empty(P, dtype=int)
     diag, y = np.zeros((P, L)), np.zeros((P, L))
-    for p, (problem, l) in enumerate(zip(problems, sizes)):
-        gram = G[p * L : p * L + l, :l]
-        gram[...] = gram_matrix(params.kernel, problem.X)
-        diag[p, :l] = np.diag(gram)
-        y[p, :l] = problem.y
+    for r, (problem, q, key, l) in enumerate(zip(problems, params, keys, sizes)):
+        if key not in offsets:
+            offsets[key] = len(offsets) * L
+            G[offsets[key] : offsets[key] + l, :l] = gram_matrix(q.kernel, problem.X)
+        base[r] = offsets[key]
+        diag[r, :l] = np.diag(G[base[r] : base[r] + l, :l])
+        y[r, :l] = problem.y
     # the state is w = y * alpha, so alpha = |w|, and w lies in [lo, hi]: [0, C] where
     # y = +1 and [-C, 0] where y = -1.  I_up is w < hi and I_low is w > lo; a padded
     # slot has y = 0 and lo = hi = 0, which keeps it out of both.
+    C = np.array([q.C for q in params], dtype=float)[:, None]
     lo, hi = np.where(y < 0.0, -C, 0.0), np.where(y > 0.0, C, 0.0)
     w, v = np.zeros((P, L)), y  # v = y at alpha = 0; y itself is not needed again
-    n_iter = np.zeros(P, dtype=int)
-    max_iter = np.array([_max_iter(params, l) for l in sizes])
+    kkt_tol = np.array([q.kkt_tol for q in params])
+    max_iter = np.array([_max_iter(q, l) for q, l in zip(params, sizes)])
+    n_iter, budget = 0, max_iter.min()  # every active problem has made n_iter updates
     ids = np.arange(P)  # the problem in each row of the state
-    rows = base = ids * L  # flat index of each row's slot 0 in the state, and in G
+    rows = ids * L  # flat index of each row's slot 0 in the state
+    scratch = np.empty((2, P, L))
+    b, curv = scratch
     models = [None] * P
     while ids.size > 1:
         v_up = np.where(w < hi, v, -np.inf)
         v_low = np.where(w > lo, v, np.inf)
         i = v_up.argmax(axis=1)
         fi = rows + i
-        m, M = np.take(v_up, fi), v_low.min(axis=1)
-        stop = (m - M <= params.kkt_tol) | (n_iter >= max_iter)
+        m, M = v_up.take(fi), v_low.min(axis=1)
+        stop = m - M <= kkt_tol
+        if n_iter >= budget:
+            stop |= n_iter >= max_iter
         if stop.any():
             for r in np.flatnonzero(stop):
                 p, l = ids[r], sizes[ids[r]]
-                models[p] = _model(problems[p], params, np.abs(w[r, :l]), v[r, :l], n_iter[r],
+                models[p] = _model(problems[p], params[p], np.abs(w[r, :l]), v[r, :l], n_iter,
                                    m[r], M[r])
             keep = ~stop
-            w, v, lo, hi, diag, n_iter, max_iter, ids = (
-                x[keep] for x in (w, v, lo, hi, diag, n_iter, max_iter, ids))
-            rows, base = rows[: ids.size], ids * L
+            w, v, lo, hi, diag, base, kkt_tol, max_iter, ids = (
+                x[keep] for x in (w, v, lo, hi, diag, base, kkt_tol, max_iter, ids))
+            rows, budget = rows[: ids.size], max_iter.min() if ids.size else 0
+            b, curv = scratch[:, : ids.size]
             continue
-        k_i = G[base + i]
-        b = np.maximum(m[:, None] - v_low, 0.0)
-        a = diag - 2.0 * k_i
-        a += np.take(diag, fi)[:, None]
-        a = np.where(a > 0.0, a, TAU)
-        j = (b * b / a).argmax(axis=1)
+        k_i = G.take(base + i, axis=0)
+        np.subtract(m[:, None], v_low, out=b)
+        np.maximum(b, 0.0, out=b)
+        np.multiply(k_i, 2.0, out=curv)
+        np.subtract(diag, curv, out=curv)
+        curv += diag.take(fi)[:, None]
+        a = np.where(curv > 0.0, curv, TAU)
+        j = np.divide(np.multiply(b, b, out=curv), a, out=curv).argmax(axis=1)
         fj = rows + j
         # smo_train's clipped step, with alpha_i + y_i t = y_i (w_i + t) and
         # alpha_j - y_j t = y_j (w_j - t) exactly, since y = +-1
-        hi_i, w_i, lo_j, w_j = np.take(hi, fi), np.take(w, fi), np.take(lo, fj), np.take(w, fj)
+        hi_i, w_i, lo_j, w_j = hi.take(fi), w.take(fi), lo.take(fj), w.take(fj)
         cap_i, cap_j = hi_i - w_i, w_j - lo_j
-        t = np.minimum(np.minimum(np.take(b, fj) / np.take(a, fj), cap_i), cap_j)
-        np.put(w, fi, np.where(t == cap_i, hi_i, w_i + t))
-        np.put(w, fj, np.where(t == cap_j, lo_j, w_j - t))
-        v -= t[:, None] * (k_i - G[base + j])
+        t = np.minimum(np.minimum(b.take(fj) / a.take(fj), cap_i), cap_j)
+        w.put(fi, np.where(t == cap_i, hi_i, w_i + t))
+        w.put(fj, np.where(t == cap_j, lo_j, w_j - t))
+        k_i -= G.take(base + j, axis=0)
+        k_i *= t[:, None]
+        v -= k_i
         n_iter += 1
     if ids.size:  # the last problem continues in smo_train's loop, cheaper for one
-        p, l = ids[0], sizes[ids[0]]
+        p, l, g = ids[0], sizes[ids[0]], base[0]
         alpha, v = np.abs(w[0, :l]), v[0, :l].copy()
-        n, m, M = _smo_loop(G[p * L : p * L + l, :l].__getitem__, diag[0, :l], problems[p].y,
-                            params, max_iter[0], alpha, v, n_iter[0])
-        models[p] = _model(problems[p], params, alpha, v, n, m, M)
+        n, m, M = _smo_loop(G[g : g + l, :l].__getitem__, diag[0, :l], problems[p].y,
+                            params[p], max_iter[0], alpha, v, n_iter)
+        models[p] = _model(problems[p], params[p], alpha, v, n, m, M)
     return models
 
 

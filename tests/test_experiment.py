@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,47 @@ class TestGridSearch:
         model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint,
                           scaler=scaler)
         save_model(model, str(tmp_path / "reference.svmodel"))
+        assert saved.read_bytes() == (tmp_path / "reference.svmodel").read_bytes()
+
+    def test_batched_grid_equals_per_cell_reference(self, small_corpus, tmp_path):
+        config = small_grid_config(small_corpus, kernels=("rbf", "polynomial"),
+                                   c_values=(1000.0, 1.0), sigmas=(0.5, 0.027))
+        saved = tmp_path / "best.svmodel"
+        report = grid_search(config, save_best=str(saved))
+        tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
+        train, test, scaler = build_dataset(
+            tokens, frontend_for("mfcc36"), selection_for("middle", 3, seed=0),
+            label_names=sorted(config.phonemes),
+        )
+        # each cell trained alone with train_ovo, in sorted order; the first best is kept
+        cells, best, best_score = [], None, None
+        for kern, c, sigma in sorted(itertools.product(config.kernels, config.c_values,
+                                                       config.sigmas)):
+            params = SvmParams(C=c, kernel=make_kernel(kern, sigma))
+            model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint,
+                              scaler=scaler)
+            metrics = evaluate(model, test)
+            n_pairs = len(model.pair_index)
+            cells.append(GridCell(
+                kernel=kern, feature="mfcc36", C=c, sigma=sigma, K=3, method="middle",
+                frame_acc=metrics["frame_accuracy"], phoneme_acc=metrics["phoneme_accuracy"],
+                n_train=train.n_tokens, n_test=test.n_tokens,
+                skipped=train.skipped + test.skipped,
+                converged_pairs=f"{n_pairs - len(model.diagnostics['not_converged'])}/{n_pairs}",
+                confusion=metrics["confusion"].tolist(),
+            ))
+            if best_score is None or (cells[-1].phoneme_acc, cells[-1].frame_acc) > best_score:
+                best, best_score = model, (cells[-1].phoneme_acc, cells[-1].frame_acc)
+
+        def untimed(cells):
+            rows = parse_report_csv(report_to_csv(RunReport(cells, {}, 0)))
+            return [{k: v for k, v in row.items() if k not in ("train_s", "test_s")}
+                    for row in rows]
+
+        assert untimed(report.cells) == untimed(cells)
+        assert [c.confusion for c in report.cells] == [c.confusion for c in cells]
+        assert all(c.train_s > 0.0 for c in report.cells)
+        save_model(best, str(tmp_path / "reference.svmodel"))
         assert saved.read_bytes() == (tmp_path / "reference.svmodel").read_bytes()
 
     def test_config_echo_includes_seed(self, small_corpus):

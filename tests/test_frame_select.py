@@ -222,7 +222,10 @@ def _one_token_fcm(features, c, m=2.0, tol=1e-5, max_iter=300, seed=0):
     for it in range(1, max_iter + 1):
         u = u_next
         um = u**m
-        new_centers = (um.T @ features) / um.sum(axis=0)[:, None]
+        weight = um.sum(axis=0)
+        new_centers = centers.copy()  # a cluster no frame belongs to keeps its center
+        kept = weight > 0.0
+        new_centers[kept] = (um.T @ features)[kept] / weight[kept][:, None]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
         u_next, d2 = _one_token_memberships(features, centers, m)
@@ -305,6 +308,19 @@ class TestFcmLockstep:
             _assert_state_equal(state, _one_token_fcm(x, n, seed=0))
         for x, picked in zip(tokens, select_frames_many(tokens, Fcm(7))):
             assert np.array_equal(picked, _one_token_picks(x, 7))
+
+    def test_equal_frames_with_c_equal_to_n(self):
+        # every frame is a center, both copies of row 1 join the first of the two
+        # equal centers, and the second cluster has no members: it keeps its center
+        x = np.array([[0.0, 1.0], [2.0, 0.5], [2.0, 0.5], [-1.0, 3.0]])
+        tokens = [x, x + 1.0, _tokens(38, 1, frames=[4], dim=2)[0]]
+        states = _fcm_lockstep(np.stack(tokens), 4, 2.0, 1e-5, 300, 0)
+        for t, state in zip(tokens, states):
+            assert np.all(np.isfinite(state.centers)) and np.all(np.isfinite(state.membership))
+            assert np.isfinite(state.objective) and state.n_iter < 300
+            _assert_state_equal(state, _one_token_fcm(t, 4, seed=0))
+        assert np.array_equal(fcm_select(x, 4), x[[0, 1, 3]])
+        assert np.array_equal(fcm_cluster(x, 4).centers, states[0].centers)
 
     def test_stacks_split_within_budget(self, monkeypatch):
         tokens = _tokens(35, 30, frames=[5, 24])

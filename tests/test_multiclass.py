@@ -17,6 +17,7 @@ from vowelkit.multiclass import (
     predict_phoneme,
     save_model,
     train_ovo,
+    train_ovo_many,
 )
 from vowelkit.preprocessing import ScalerParams
 from vowelkit.svm import BinaryModel, BinaryProblem, SvmParams, decision_values, smo_train
@@ -79,6 +80,21 @@ class TestTrainOvo:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInput):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), ["a"])
+
+    def test_many_params_equal_one_train_ovo_each(self, tmp_path):
+        data = blob_dataset(4, per_class=7, seed=5, spread=3.0)
+        params_list = [SvmParams(C=c, kernel=kernel) for kernel in (Rbf(0.5), Linear())
+                       for c in (1.0, 100.0)]
+        models = train_ovo_many(data, params_list, fingerprint="f")
+        assert len(models) == len(params_list)
+        for n, (many, params) in enumerate(zip(models, params_list)):
+            one = train_ovo(data, params, fingerprint="f")
+            assert many.pair_index == one.pair_index
+            assert many.diagnostics == one.diagnostics
+            save_model(many, tmp_path / f"many{n}.svmodel")
+            save_model(one, tmp_path / f"one{n}.svmodel")
+            assert ((tmp_path / f"many{n}.svmodel").read_bytes()
+                    == (tmp_path / f"one{n}.svmodel").read_bytes())
 
 
 class TestPredictOvo:

@@ -358,6 +358,62 @@ class TestLockstep:
     def test_no_problems(self):
         assert smo_train_many([], SvmParams(C=1.0, kernel=Linear())) == []
 
+    def test_params_per_problem_with_shared_problems(self):
+        problems = random_problems(21, [7, 40, 2, 23], noise=1.0)
+        settings = [
+            SvmParams(C=1.0, kernel=Rbf(0.5)),
+            SvmParams(C=100.0, kernel=Rbf(0.5), kkt_tol=1e-2),
+            SvmParams(C=100.0, kernel=Rbf(0.5), max_iter=15),
+            SvmParams(C=1.0, kernel=Polynomial(0.5, 1.0, 3)),
+            SvmParams(C=10000.0, kernel=Sigmoid(0.5, -1.0)),
+            SvmParams(C=10.0, kernel=Linear(), max_iter=40),
+        ]
+        # every problem under every setting, the C twins of a problem far apart
+        pairs = [(p, q) for q in settings for p in problems]
+        models = smo_train_many([p for p, _q in pairs], [q for _p, q in pairs])
+        assert not all(m.converged for m in models)
+        for many, (problem, params) in zip(models, pairs):
+            assert_same_model(many, smo_train(problem, params))
+
+    def test_params_must_match_problems(self):
+        problems = random_problems(22, [5, 6])
+        with pytest.raises(InvalidInput):
+            smo_train_many(problems, [SvmParams(C=1.0, kernel=Linear())])
+
+    def test_a_shared_gram_block_counts_once(self, monkeypatch):
+        monkeypatch.setattr(svm, "FULL_GRAM_LIMIT", 30)  # four 15-row blocks per batch
+        grams, batches = [], []
+        gram, lockstep = svm.gram_matrix, svm._lockstep
+
+        def counting(kernel, x, *rest):
+            grams.append((kernel, x.shape[0]))
+            return gram(kernel, x, *rest)
+
+        def recording(problems, params):
+            batches.append([(names[id(p)], q.C, type(q.kernel).__name__)
+                            for p, q in zip(problems, params)])
+            return lockstep(problems, params)
+
+        monkeypatch.setattr(svm, "gram_matrix", counting)
+        monkeypatch.setattr(svm, "_lockstep", recording)
+        problems = random_problems(23, [15, 15, 15, 15, 10])
+        names = {id(p): name for p, name in zip(problems, "abcde")}
+        rbf, linear = Rbf(0.5), Linear()
+        entries = [(p, SvmParams(C=c, kernel=rbf)) for c in (1.0, 10.0) for p in problems[:4]]
+        entries += [(problems[3], SvmParams(C=1.0, kernel=linear)),
+                    (problems[4], SvmParams(C=1.0, kernel=rbf))]
+        models = smo_train_many([p for p, _q in entries], [q for _p, q in entries])
+        # a C twin joins its block's batch and adds no Gram; counting problems,
+        # not blocks, would have split the first batch after four of them
+        assert batches == [
+            [(n, c, "Rbf") for n in "abcd" for c in (1.0, 10.0)],
+            [("d", 1.0, "Linear"), ("e", 1.0, "Rbf")],
+        ]
+        assert len(grams) == 6
+        monkeypatch.setattr(svm, "gram_matrix", gram)
+        for many, (problem, params) in zip(models, entries):
+            assert_same_model(many, smo_train(problem, params))
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
