@@ -112,6 +112,8 @@ def _config_values(parser) -> dict:
             out["kkt_tol"] = _finite(svm["kkt_tol"])
         if "max_iter" in svm:
             out["max_iter"] = int(svm["max_iter"])
+            if out["max_iter"] < 0:
+                raise ValueError(f"max_iter must be >= 0, got {out['max_iter']}")
     return out
 
 
@@ -142,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.027)
     p.add_argument("--C", type=float, default=10.0, dest="c_value")
     p.add_argument("--psd-check", action="store_true",
-                   help="report the training Gram's minimum eigenvalue per pair")
+                   help="report the minimum eigenvalue of the Gram matrix of all "
+                        "training rows")
     add_common(p)
 
     p = sub.add_parser("predict", help="label phoneme tokens in one utterance")

@@ -260,34 +260,19 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
                 save_best: Optional[str] = None) -> RunReport:
     """Cartesian sweep over the configured grid; one GridCell per setting.
 
-    Features are extracted once per feature kind and reused across cells.
-    The cells of one dataset (feature, K, method) are trained in one
-    train_ovo_many call, and each records an equal share of its seconds as
-    train_s.  A failing cell records its error and does not abort the sweep.
+    The groups of cells that share a dataset (feature, K, method) run in
+    sorted order.  A feature kind's tokens are extracted when its first group
+    comes up, and each group's dataset is built just before it is trained,
+    so a sweep holds one feature's tokens and one dataset at a time.  A
+    group's cells are trained in one train_ovo_many call, and each records
+    an equal share of its seconds as train_s.  A failing cell records its
+    error and does not abort the sweep.
     """
     if tokens is None:
         tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
     if not tokens:
         raise InvalidInput(f"no usable tokens under {config.corpus_root}")
     label_names = sorted(set(config.phonemes) & {t.label for t in tokens})
-
-    signal_cache: dict = {}
-    feature_cache: Dict[str, list] = {}
-    for feature in sorted(set(config.features)):
-        feature_cache[feature] = extract_token_features(
-            tokens, frontend_for(feature, config.frontend), signal_cache
-        )
-    signal_cache.clear()
-
-    datasets = {}
-    for feature, k, method in itertools.product(
-        sorted(set(config.features)), sorted(set(config.k_values)), sorted(set(config.methods))
-    ):
-        selection = selection_for(method, k, seed=config.seed)
-        datasets[(feature, k, method)] = build_dataset(
-            tokens, frontend_for(feature, config.frontend), selection,
-            label_names=label_names, token_feats=feature_cache[feature],
-        )
 
     cells = sorted(
         (GridCell(kernel=kern, feature=feat, C=c, sigma=sigma, K=k, method=method)
@@ -301,8 +286,15 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
     for n, cell in enumerate(cells):
         groups.setdefault((cell.feature, cell.K, cell.method), []).append((n, cell))
     best_model, best_rank = None, None
-    for key, group in groups.items():
-        train, test, scaler = datasets[key]
+    token_feature, token_feats = None, None
+    for (feature, k, method), group in sorted(groups.items()):
+        frontend = frontend_for(feature, config.frontend)
+        if feature != token_feature:
+            token_feature, token_feats = feature, extract_token_features(tokens, frontend)
+        train, test, scaler = build_dataset(
+            tokens, frontend, selection_for(method, k, seed=config.seed),
+            label_names=label_names, token_feats=token_feats,
+        )
         ready, params_list = [], []
         for n, cell in group:
             try:

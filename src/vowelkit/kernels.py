@@ -6,7 +6,7 @@ sigmoid tanh(sigma*x.y + r).  Linear is the diagnostic special case x.y.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -110,37 +110,28 @@ _KINDS = {"polynomial": Polynomial, "rbf": Rbf, "sigmoid": Sigmoid, "linear": Li
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:
-    if isinstance(spec, Polynomial):
-        return {"kind": "polynomial", "sigma": spec.sigma, "r": spec.r, "d": spec.d}
-    if isinstance(spec, Rbf):
-        return {"kind": "rbf", "sigma": spec.sigma}
-    if isinstance(spec, Sigmoid):
-        return {"kind": "sigmoid", "sigma": spec.sigma, "r": spec.r}
-    if isinstance(spec, Linear):
-        return {"kind": "linear"}
-    raise InvalidInput(f"unknown kernel spec: {spec!r}")
+    kinds = [kind for kind, cls in _KINDS.items() if type(spec) is cls]
+    if not kinds:
+        raise InvalidInput(f"unknown kernel spec: {spec!r}")
+    return {"kind": kinds[0], **asdict(spec)}
 
 
 def kernel_from_dict(data: dict) -> KernelSpec:
     try:
-        kind = data["kind"]
-        cls = _KINDS[kind]
+        cls = _KINDS[data["kind"]]
         args = {k: v for k, v in data.items() if k != "kind"}
         if "d" in args:
+            if not float(args["d"]).is_integer():
+                raise FormatError(f"polynomial degree must be an integer, got {args['d']!r}")
             args["d"] = int(args["d"])
         return cls(**args)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad kernel description: {data!r}") from exc
 
 
 def make_kernel(kind: str, sigma: float) -> KernelSpec:
     """Grid-search constructor: one sigma knob, standard defaults for the rest."""
-    if kind == "rbf":
-        return Rbf(sigma=sigma)
-    if kind == "polynomial":
-        return Polynomial(sigma=sigma, r=0.0, d=3)
-    if kind == "sigmoid":
-        return Sigmoid(sigma=sigma, r=0.0)
-    if kind == "linear":
-        return Linear()
-    raise InvalidInput(f"unknown kernel kind: {kind!r}")
+    if kind not in _KINDS:
+        raise InvalidInput(f"unknown kernel kind: {kind!r}")
+    cls = _KINDS[kind]
+    return cls() if cls is Linear else cls(sigma=sigma)

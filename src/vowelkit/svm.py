@@ -16,8 +16,8 @@ max_iter are per-row state.  The problems' states are stacked as zero-padded
 each problem is smo_train's, so the models are the same bit for bit.  A Gram
 block belongs to a (problem object, kernel) key, so problems that differ only
 in C share one block.  A problem that stops leaves the stack; when one is left
-it continues in smo_train's own loop, which costs less per update.  Batches
-count distinct blocks: a batch's blocks hold at most FULL_GRAM_LIMIT**2
+its state row continues in smo_train's own loop, which costs less per update.
+Batches count distinct blocks: a batch's blocks hold at most FULL_GRAM_LIMIT**2
 entries, the size of the largest single Gram.  A problem with more than
 FULL_GRAM_LIMIT rows is solved alone with cached Gram rows.
 """
@@ -69,6 +69,8 @@ class SvmParams:
             raise InvalidInput("C must be finite and > 0")
         if not math.isfinite(self.kkt_tol) or self.kkt_tol <= 0.0:
             raise InvalidInput("kkt_tol must be finite and > 0")
+        if self.max_iter < 0:
+            raise InvalidInput("max_iter must be >= 0")
 
 
 @dataclass
@@ -110,31 +112,31 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
         row = functools.lru_cache(maxsize=ROW_CACHE_SIZE)(
             lambda i: gram_matrix(kernel, X[i : i + 1], X)[0]
         )
-    alpha = np.zeros(l)
+    # the state is w = y * alpha, so alpha = |w|, and w lies in [lo, hi]: [0, C] where
+    # y = +1 and [-C, 0] where y = -1.  I_up is w < hi and I_low is w > lo.
+    C = float(params.C)
+    lo, hi = np.where(y < 0.0, -C, 0.0), np.where(y > 0.0, C, 0.0)
+    w = np.zeros(l)
     v = y.copy()  # -y * gradient of 0.5 a'Qa - e'a with Q = yy'K; the gradient is -1 at a = 0
-    n_iter, m, M = _smo_loop(row, diag, y, params, _max_iter(params, l), alpha, v, 0)
-    return _model(problem, params, alpha, v, n_iter, m, M)
+    n_iter, m, M = _smo_loop(row, diag, lo, hi, params.kkt_tol, _max_iter(params, l), w, v, 0)
+    return _model(problem, params, w, v, n_iter, m, M)
 
 
 def _max_iter(params: SvmParams, l: int) -> int:
     return params.max_iter if params.max_iter > 0 else 100 * l
 
 
-def _smo_loop(row, diag, y, params, max_iter, alpha, v, n_iter):
-    """Run updates from the state (alpha, v, n_iter) until the stopping rule holds.
+def _smo_loop(row, diag, lo, hi, kkt_tol, max_iter, w, v, n_iter):
+    """Run updates from the state (w, v, n_iter) until the stopping rule holds.
 
-    alpha and v are updated in place; returns (n_iter, m, M) at the stop.
+    w and v are updated in place; returns (n_iter, m, M) at the stop.
     """
-    C = float(params.C)
-    pos = y > 0
-    above, below = alpha > 0.0, alpha < C
-    up, low = np.where(pos, below, above), np.where(pos, above, below)  # I_up and I_low
     while True:
-        v_up = np.where(up, v, -np.inf)
+        v_up = np.where(w < hi, v, -np.inf)
         i = int(v_up.argmax())
-        v_low = np.where(low, v, np.inf)
+        v_low = np.where(w > lo, v, np.inf)
         m, M = v_up[i], v_low.min()
-        if m - M <= params.kkt_tol or n_iter >= max_iter:
+        if m - M <= kkt_tol or n_iter >= max_iter:
             return n_iter, m, M
         k_i = row(i)
         b = np.maximum(m - v_low, 0.0)  # zero outside I_low and wherever v >= m
@@ -142,22 +144,20 @@ def _smo_loop(row, diag, y, params, max_iter, alpha, v, n_iter):
         a += diag[i]
         a = np.where(a > 0.0, a, TAU)
         j = int((b * b / a).argmax())
-        # step t along alpha_i += y_i t, alpha_j -= y_j t, clipped to the box
-        cap_i = C - alpha[i] if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else C - alpha[j]
+        # step t along alpha_i += y_i t, alpha_j -= y_j t, that is w_i += t, w_j -= t,
+        # clipped to the box
+        cap_i, cap_j = hi[i] - w[i], w[j] - lo[j]
         t = min(b[j] / a[j], cap_i, cap_j)
-        alpha[i] = (C if pos[i] else 0.0) if t == cap_i else alpha[i] + y[i] * t
-        alpha[j] = (0.0 if pos[j] else C) if t == cap_j else alpha[j] - y[j] * t
+        w[i] = hi[i] if t == cap_i else w[i] + t
+        w[j] = lo[j] if t == cap_j else w[j] - t
         v -= t * (k_i - row(j))  # the gradient moves by t y (K_i - K_j), and y y = 1
-        for s in (i, j):
-            above, below = alpha[s] > 0.0, alpha[s] < C
-            up[s], low[s] = (below, above) if pos[s] else (above, below)
         n_iter += 1
 
 
-def _model(problem: BinaryProblem, params: SvmParams, alpha, v, n_iter, m, M) -> BinaryModel:
+def _model(problem: BinaryProblem, params: SvmParams, w, v, n_iter, m, M) -> BinaryModel:
     C = float(params.C)
     gap = float(m - M)
+    alpha = np.abs(w)
     free = (alpha > 0.0) & (alpha < C)
     bias = float(v[free].mean()) if free.any() else float(0.5 * (m + M))
     sv = alpha > 0.0
@@ -231,9 +231,8 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         base[r] = offsets[key]
         diag[r, :l] = np.diag(G[base[r] : base[r] + l, :l])
         y[r, :l] = problem.y
-    # the state is w = y * alpha, so alpha = |w|, and w lies in [lo, hi]: [0, C] where
-    # y = +1 and [-C, 0] where y = -1.  I_up is w < hi and I_low is w > lo; a padded
-    # slot has y = 0 and lo = hi = 0, which keeps it out of both.
+    # smo_train's state, one row per problem; a padded slot has y = 0 and
+    # lo = hi = 0, which keeps it out of I_up and I_low
     C = np.array([q.C for q in params], dtype=float)[:, None]
     lo, hi = np.where(y < 0.0, -C, 0.0), np.where(y > 0.0, C, 0.0)
     w, v = np.zeros((P, L)), y  # v = y at alpha = 0; y itself is not needed again
@@ -257,8 +256,7 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         if stop.any():
             for r in np.flatnonzero(stop):
                 p, l = ids[r], sizes[ids[r]]
-                models[p] = _model(problems[p], params[p], np.abs(w[r, :l]), v[r, :l], n_iter,
-                                   m[r], M[r])
+                models[p] = _model(problems[p], params[p], w[r, :l], v[r, :l], n_iter, m[r], M[r])
             keep = ~stop
             w, v, lo, hi, diag, base, kkt_tol, max_iter, ids = (
                 x[keep] for x in (w, v, lo, hi, diag, base, kkt_tol, max_iter, ids))
@@ -274,8 +272,7 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         a = np.where(curv > 0.0, curv, TAU)
         j = np.divide(np.multiply(b, b, out=curv), a, out=curv).argmax(axis=1)
         fj = rows + j
-        # smo_train's clipped step, with alpha_i + y_i t = y_i (w_i + t) and
-        # alpha_j - y_j t = y_j (w_j - t) exactly, since y = +-1
+        # smo_train's clipped step
         hi_i, w_i, lo_j, w_j = hi.take(fi), w.take(fi), lo.take(fj), w.take(fj)
         cap_i, cap_j = hi_i - w_i, w_j - lo_j
         t = np.minimum(np.minimum(b.take(fj) / a.take(fj), cap_i), cap_j)
@@ -287,10 +284,10 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         n_iter += 1
     if ids.size:  # the last problem continues in smo_train's loop, cheaper for one
         p, l, g = ids[0], sizes[ids[0]], base[0]
-        alpha, v = np.abs(w[0, :l]), v[0, :l].copy()
-        n, m, M = _smo_loop(G[g : g + l, :l].__getitem__, diag[0, :l], problems[p].y,
-                            params[p], max_iter[0], alpha, v, n_iter)
-        models[p] = _model(problems[p], params[p], alpha, v, n, m, M)
+        w, v = w[0, :l], v[0, :l]
+        n, m, M = _smo_loop(G[g : g + l, :l].__getitem__, diag[0, :l], lo[0, :l], hi[0, :l],
+                            kkt_tol[0], max_iter[0], w, v, n_iter)
+        models[p] = _model(problems[p], params[p], w, v, n, m, M)
     return models
 
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import shutil
 
@@ -13,10 +14,12 @@ from test_multiclass import MALFORMED, write_malformed
 from vowelkit import cli, experiment, frontend
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, run_cli
 from vowelkit.errors import DegenerateSpectrum, TooShort, VowelkitError
-from vowelkit.experiment import frontend_for, selection_for
+from vowelkit.experiment import ExperimentConfig, frontend_for, selection_for
 from vowelkit.frame_select import select_frames
+from vowelkit.kernels import make_kernel
 from vowelkit.multiclass import load_model, predict_phoneme
 from vowelkit.preprocessing import apply_scaler
+from vowelkit.svm import SvmParams
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +355,7 @@ MALFORMED_CONFIGS = {
     "kkt_tol": b"[svm]\nkkt_tol = small\n",
     "non-finite kkt_tol": b"[svm]\nkkt_tol = nan\n",
     "max_iter": b"[svm]\nmax_iter = 1e3\n",
+    "negative max_iter": b"[svm]\nmax_iter = -5\n",
     "no section header": b"seed = 1\n",
     "duplicate section": b"[grid]\nc = 10\n[grid]\n",
     "interpolation": b"[experiment]\ncorpus_root = /data/100%\n",
@@ -394,6 +398,23 @@ class TestMalformedConfig:
             cli._load_config_file(str(cfg))
         except (UsageError, VowelkitError):
             pass
+
+
+class TestBenchmarkConfig:
+    def test_every_setting_builds(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark.cfg")
+        config = ExperimentConfig(**dict(cli._load_config_file(path), corpus_root="corpus"))
+        # the grid README describes: 3 kernels, 2 features, 4 C, 2 sigma, 3 K, 2 methods
+        assert [len(v) for v in (config.kernels, config.features, config.c_values,
+                                 config.sigmas, config.k_values, config.methods)] == [
+            3, 2, 4, 2, 3, 2]
+        for kind, sigma, c in itertools.product(config.kernels, config.sigmas, config.c_values):
+            SvmParams(C=c, kernel=make_kernel(kind, sigma), kkt_tol=config.kkt_tol,
+                      max_iter=config.max_iter)
+        for feature in config.features:
+            frontend_for(feature, config.frontend)
+        for method, k in itertools.product(config.methods, config.k_values):
+            selection_for(method, k, seed=config.seed)
 
 
 class TestOutsideFileErrors:

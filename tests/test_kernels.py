@@ -160,6 +160,11 @@ class TestSpecsAndSerialization:
         with pytest.raises(FormatError):
             kernel_from_dict({"kind": "spline"})
 
+    def test_non_integer_degree(self):
+        assert kernel_from_dict({"kind": "polynomial", "d": 3.0}) == Polynomial(d=3)
+        with pytest.raises(FormatError):
+            kernel_from_dict({"kind": "polynomial", "sigma": 1.0, "r": 0.0, "d": 3.5})
+
     def test_make_kernel_defaults(self):
         assert make_kernel("polynomial", 2.0) == Polynomial(2.0, 0.0, 3)
         assert make_kernel("sigmoid", 0.5) == Sigmoid(0.5, 0.0)

@@ -391,6 +391,9 @@ MALFORMED = {
     "blank pair count": _field("pairs", 1, ""),
     "kernel parameter": _field("kernel", 2, "sigma=abc"),
     "non-finite kernel parameter": _field("kernel", 2, "sigma=nan"),
+    "non-integer polynomial degree": lambda lines: [
+        "kernel polynomial d=3.5 r=0 sigma=1" if line.startswith("kernel ") else line
+        for line in lines],
     "scaler value": _field("scaler_min", 1, "abc"),
     "non-finite scaler value": _field("scaler_max", 1, "inf"),
     "pair bias": _field("pair ", 3, "bias=abc"),

@@ -345,9 +345,9 @@ class TestLockstep:
         starts = []
         loop = svm._smo_loop
 
-        def recording(row, diag, y, params, max_iter, alpha, v, n_iter):
+        def recording(row, diag, lo, hi, kkt_tol, max_iter, w, v, n_iter):
             starts.append(n_iter)
-            return loop(row, diag, y, params, max_iter, alpha, v, n_iter)
+            return loop(row, diag, lo, hi, kkt_tol, max_iter, w, v, n_iter)
 
         monkeypatch.setattr(svm, "_smo_loop", recording)
         params = SvmParams(C=10.0, kernel=Rbf(0.5))
@@ -421,6 +421,10 @@ class TestNonFiniteParameters:
     def test_svm_parameter_rejected(self, name, value):
         with pytest.raises(InvalidInput):
             SvmParams(**{"C": 1.0, "kernel": Linear(), name: value})
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(InvalidInput):
+            SvmParams(C=1.0, kernel=Linear(), max_iter=-5)
 
     @pytest.mark.parametrize("make", [
         lambda v: Rbf(v), lambda v: Polynomial(v, 0.0, 3), lambda v: Polynomial(1.0, v, 3),
