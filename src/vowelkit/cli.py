@@ -2,30 +2,35 @@
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from .corpus import VOWELS, load_audio, load_phn
 from .errors import FormatError, InvalidInput, TooShort, VowelkitError
 from .experiment import (
+    FEATURE_KINDS,
+    METHOD_NAMES,
     ExperimentConfig,
     RunReport,
     build_dataset,
+    check_fingerprint,
     config_fingerprint,
     emit_report,
     evaluate,
     extract_token_features,
     frontend_for,
     grid_search,
+    select_tokens,
     selection_for,
+    vote_tokens,
 )
 from .frontend import FrontendConfig
 from .kernels import make_kernel
-from .multiclass import load_model, phoneme_vote, predict_ovo_batch, save_model, train_ovo
+from .multiclass import load_model, save_model, train_ovo
 from .preprocessing import apply_scaler
 from .svm import SvmParams
 
@@ -47,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_frames(spec: str):
     """"middle:3" or "fcm:5" -> (method name, K)."""
     method, _, count = spec.partition(":")
-    if method not in ("middle", "fcm") or not count.isdigit() or int(count) < 1:
+    if method not in METHOD_NAMES or not count.isdigit() or int(count) < 1:
         raise UsageError(f"bad --frames value {spec!r}; expected middle:K or fcm:K")
     return method, int(count)
 
@@ -64,64 +69,65 @@ def _finite(text: str) -> float:
 
 
 def _load_config_file(path) -> dict:
-    """Grid settings from an INI file; an unreadable or malformed file is a usage error."""
+    """Grid settings from an INI file; an unreadable or malformed file is a usage error.
+
+    So is a value the sweep would reject, found before any token is extracted.
+    """
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise UsageError(f"cannot read config file {path}")
-        return _config_values(parser)
-    except (configparser.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
+        values = _config_values(parser)
+        _check_settings(ExperimentConfig(**{"corpus_root": None, **values}))
+        return values
+    except (configparser.Error, ValueError, InvalidInput) as exc:  # incl. UnicodeDecodeError
         raise UsageError(f"malformed config file {path}: {exc}") from exc
 
 
+def _check_settings(config: ExperimentConfig) -> None:
+    """Build each frontend, selection and SvmParams of the sweep; InvalidInput if one fails."""
+    for feature in config.features:
+        frontend_for(feature, config.frontend)
+    for method, k in itertools.product(config.methods, config.k_values):
+        selection_for(method, k, seed=config.seed)
+    for kind, sigma, c in itertools.product(config.kernels, config.sigmas, config.c_values):
+        SvmParams(C=c, kernel=make_kernel(kind, sigma), kkt_tol=config.kkt_tol,
+                  max_iter=config.max_iter)
+
+
+# (section, key) -> ExperimentConfig field and value parser; lists split on commas and spaces
+_CONFIG_KEYS = {
+    ("experiment", "corpus_root"): ("corpus_root", str),
+    ("experiment", "phonemes"): ("phonemes", _split_list),
+    ("experiment", "seed"): ("seed", int),
+    ("grid", "kernels"): ("kernels", _split_list),
+    ("grid", "features"): ("features", _split_list),
+    ("grid", "c"): ("c_values", lambda raw: _split_list(raw, _finite)),
+    ("grid", "sigma"): ("sigmas", lambda raw: _split_list(raw, _finite)),
+    ("grid", "k"): ("k_values", lambda raw: _split_list(raw, int)),
+    ("grid", "methods"): ("methods", _split_list),
+    ("svm", "kkt_tol"): ("kkt_tol", _finite),
+    ("svm", "max_iter"): ("max_iter", int),
+}
+
+
 def _config_values(parser) -> dict:
-    out = {}
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    out["corpus_root"] = exp.get("corpus_root")
-    if "phonemes" in exp:
-        out["phonemes"] = _split_list(exp["phonemes"])
-    if "seed" in exp:
-        out["seed"] = int(exp["seed"])
+    out = {name: convert(parser[section][key])
+           for (section, key), (name, convert) in _CONFIG_KEYS.items()
+           if parser.has_option(section, key)}
     if parser.has_section("frontend"):
+        # the feature tag of each grid cell sets feature_kind and with_deltas
         fe = parser["frontend"]
-        out["frontend"] = FrontendConfig(
-            pre_emphasis=fe.getfloat("pre_emphasis", 0.95),
-            frame_len=fe.getint("frame_len", 256),
-            hop=fe.getint("hop", 128),
-            num_ceps=fe.getint("num_ceps", 12),
-            num_mel_filters=fe.getint("num_mel_filters", 26),
-            lp_order=fe.getint("lp_order", 12),
-        )
-    if parser.has_section("grid"):
-        grid = parser["grid"]
-        if "kernels" in grid:
-            out["kernels"] = _split_list(grid["kernels"])
-        if "features" in grid:
-            out["features"] = _split_list(grid["features"])
-        if "c" in grid:
-            out["c_values"] = _split_list(grid["c"], _finite)
-        if "sigma" in grid:
-            out["sigmas"] = _split_list(grid["sigma"], _finite)
-        if "k" in grid:
-            out["k_values"] = _split_list(grid["k"], int)
-        if "methods" in grid:
-            out["methods"] = _split_list(grid["methods"])
-    if parser.has_section("svm"):
-        svm = parser["svm"]
-        if "kkt_tol" in svm:
-            out["kkt_tol"] = _finite(svm["kkt_tol"])
-        if "max_iter" in svm:
-            out["max_iter"] = int(svm["max_iter"])
-            if out["max_iter"] < 0:
-                raise ValueError(f"max_iter must be >= 0, got {out['max_iter']}")
+        out["frontend"] = FrontendConfig(**{
+            f.name: f.type(fe[f.name]) for f in fields(FrontendConfig)
+            if f.name in fe and f.name not in ("feature_kind", "with_deltas")})
     return out
 
 
-def _echo_config(pairs, stream=None):
-    stream = stream or sys.stdout
-    print("# config", file=stream)
+def _echo_config(pairs):
+    print("# config")
     for key, value in pairs.items():
-        print(f"# {key} = {value}", file=stream)
+        print(f"# {key} = {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--feature", default="mfcc36",
-                       help="mfcc12, mfcc36, plp12 or plp36")
+        p.add_argument("--feature", default="mfcc36", choices=FEATURE_KINDS)
         p.add_argument("--frames", default="middle:3", help="middle:K or fcm:K")
         p.add_argument("--phonemes", default=None,
                        help="space/comma-separated whitelist (default: 20 vowels)")
@@ -214,29 +219,21 @@ def _cmd_train(args):
 def _cmd_predict(args):
     frontend, selection, phonemes = _pipeline_pieces(args)
     model = load_model(args.model)
-    expected = config_fingerprint(frontend, selection, model.label_names)
-    if model.fingerprint and model.fingerprint != expected:
-        raise InvalidInput(
-            "model was built with a different frontend/selection configuration; "
-            "pass matching --feature/--frames"
-        )
+    check_fingerprint(model, config_fingerprint(frontend, selection, model.label_names))
     signal = load_audio(args.audio, sample_rate=args.sample_rate)
     tokens = load_phn(args.phn, whitelist=phonemes, n_samples=signal.samples.size,
                       audio_path=args.audio)
     _echo_config({"command": "predict", "model": args.model, "audio": args.audio,
                   "phn": args.phn, "feature": args.feature, "frames": args.frames,
                   "seed": args.seed})
-    from .frame_select import select_frames_many
-
     # one batch over every token's frames; the front end skips a token by giving None
     token_feats = extract_token_features(tokens, frontend, {args.audio: signal})
-    frames = select_frames_many([feats for _t, feats in token_feats if feats is not None],
-                                selection)
-    x = np.vstack(frames or [np.zeros((0, frontend.dim))])
-    preds = predict_ovo_batch(model, apply_scaler(model.scaler, x) if model.scaler else x)
-    per_token = iter(np.split(preds, np.cumsum([f.shape[0] for f in frames])[:-1]))
+    _kept, x, spans = select_tokens(token_feats, selection, frontend.dim)
+    _frame_preds, votes = vote_tokens(model, apply_scaler(model.scaler, x) if model.scaler else x,
+                                      spans)
+    voted = iter(votes)
     for token, feats in token_feats:
-        label = "-" if feats is None else model.label_names[phoneme_vote(next(per_token), model.k)]
+        label = "-" if feats is None else model.label_names[next(voted)]
         print(f"{token.utterance_id} {token.begin} {token.end} {token.label} {label}")
     return EXIT_OK
 

@@ -6,7 +6,7 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,21 +99,39 @@ def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendCon
     return out
 
 
-def _assemble(token_feats, selection, label_names, split):
-    in_split = [(token, feats) for token, feats in token_feats if token.split == split]
-    kept = [(token, feats) for token, feats in in_split if feats is not None]
-    skipped = len(in_split) - len(kept)
+def select_tokens(token_feats, selection: SelectionMethod, dim: int):
+    """Tokens with features, their selected frames stacked (dim columns if none), row spans."""
+    kept = [(token, feats) for token, feats in token_feats if feats is not None]
     rows = select_frames_many([feats for _token, feats in kept], selection)
-    frame_labels, spans, token_labels = [], [], []
+    ends = np.cumsum([picked.shape[0] for picked in rows], dtype=int).tolist()
+    x = np.vstack(rows) if rows else np.zeros((0, dim))
+    return [token for token, _feats in kept], x, list(zip([0] + ends[:-1], ends))
+
+
+def check_fingerprint(model: OvOModel, fingerprint: str) -> None:
+    """A model applies only to frames built with its frontend, selection and labels."""
+    if model.fingerprint and fingerprint and model.fingerprint != fingerprint:
+        raise InvalidInput("model was built with a different frontend/selection configuration")
+
+
+def vote_tokens(model: OvOModel, X: np.ndarray, spans):
+    """Frame predictions from one predict_ovo_batch call and one phoneme_vote per span."""
+    frame_preds = predict_ovo_batch(model, X)
+    votes = [phoneme_vote(frame_preds[start:stop], model.k) for start, stop in spans]
+    return frame_preds, np.array(votes, dtype=int)
+
+
+def _assemble(token_feats, selection, label_names, split, dim, fingerprint) -> FrameDataset:
+    """One split's selected frames, not yet scaled."""
+    in_split = [(token, feats) for token, feats in token_feats if token.split == split]
+    kept, x, spans = select_tokens(in_split, selection, dim)
     index = {name: i for i, name in enumerate(label_names)}
-    cursor = 0
-    for (token, _feats), picked in zip(kept, rows):
-        frame_labels.extend([index[token.label]] * picked.shape[0])
-        spans.append((cursor, cursor + picked.shape[0]))
-        cursor += picked.shape[0]
-        token_labels.append(index[token.label])
-    x = np.vstack(rows) if rows else np.zeros((0, 0))
-    return x, np.array(frame_labels, dtype=int), spans, np.array(token_labels, dtype=int), skipped
+    token_labels = np.array([index[token.label] for token in kept], dtype=int)
+    return FrameDataset(
+        X=x, frame_labels=np.repeat(token_labels, [stop - start for start, stop in spans]),
+        token_spans=spans, token_labels=token_labels, label_names=list(label_names),
+        skipped=len(in_split) - len(kept), fingerprint=fingerprint,
+    )
 
 
 def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
@@ -133,43 +151,29 @@ def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
         token_feats = extract_token_features(tokens, frontend)
     fingerprint = config_fingerprint(frontend, selection, label_names)
 
-    parts = {}
-    for split in ("train", "test"):
-        parts[split] = _assemble(token_feats, selection, label_names, split)
+    train, test = (_assemble(token_feats, selection, label_names, split, frontend.dim,
+                             fingerprint) for split in ("train", "test"))
     if scaler is None:
-        x_train = parts["train"][0]
-        if x_train.size == 0:
+        if train.X.size == 0:
             raise InvalidInput("no usable training tokens (all missing or too short)")
-        scaler = fit_scaler(x_train)
-
-    datasets = {}
-    for split in ("train", "test"):
-        x, frame_labels, spans, token_labels, skipped = parts[split]
-        scaled = apply_scaler(scaler, x) if x.size else x
-        datasets[split] = FrameDataset(
-            X=scaled, frame_labels=frame_labels, token_spans=spans,
-            token_labels=token_labels, label_names=list(label_names),
-            skipped=skipped, fingerprint=fingerprint,
-        )
-    return datasets["train"], datasets["test"], scaler
+        scaler = fit_scaler(train.X)
+    for data in (train, test):
+        if data.X.size:
+            data.X = apply_scaler(scaler, data.X)
+    return train, test, scaler
 
 
 def evaluate(model: OvOModel, test: FrameDataset):
     """Frame and phoneme accuracy (percent) plus a token confusion matrix."""
     if test.n_tokens == 0:
         raise InvalidInput("test set is empty")
-    if model.fingerprint and test.fingerprint and model.fingerprint != test.fingerprint:
-        raise InvalidInput("model and test set were built with different configurations")
-    frame_preds = predict_ovo_batch(model, test.X)
+    check_fingerprint(model, test.fingerprint)
+    frame_preds, token_preds = vote_tokens(model, test.X, test.token_spans)
     frame_acc = 100.0 * float(np.mean(frame_preds == test.frame_labels))
     k = len(test.label_names)
     confusion = np.zeros((k, k), dtype=int)
-    correct = 0
-    for (start, stop), true_label in zip(test.token_spans, test.token_labels):
-        pred = phoneme_vote(frame_preds[start:stop], model.k)
-        confusion[true_label, pred] += 1
-        correct += int(pred == true_label)
-    phoneme_acc = 100.0 * correct / test.n_tokens
+    np.add.at(confusion, (test.token_labels, token_preds), 1)
+    phoneme_acc = 100.0 * int(np.sum(token_preds == test.token_labels)) / test.n_tokens
     return {"frame_accuracy": frame_acc, "phoneme_accuracy": phoneme_acc,
             "confusion": confusion}
 
@@ -328,20 +332,9 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
             if best_rank is None or rank > best_rank:
                 best_model, best_rank = model, rank
 
-    echo = {
-        "corpus_root": str(config.corpus_root),
-        "phonemes": list(config.phonemes),
-        "frontend": vars(config.frontend).copy(),
-        "kernels": list(config.kernels),
-        "features": list(config.features),
-        "c_values": list(config.c_values),
-        "sigmas": list(config.sigmas),
-        "k_values": list(config.k_values),
-        "methods": list(config.methods),
-        "kkt_tol": config.kkt_tol,
-        "max_iter": config.max_iter,
-        "seed": config.seed,
-    }
+    echo = {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(config).items() if name != "workers"}
+    echo["corpus_root"] = str(config.corpus_root)
     report = RunReport(cells=cells, config_echo=echo, seed=config.seed)
 
     if save_best is not None and best_model is not None:

@@ -50,6 +50,8 @@ class FrontendConfig:
             raise InvalidInput(f"unknown feature kind: {self.feature_kind!r}")
         if not 0.0 <= self.pre_emphasis < 1.0:
             raise InvalidInput("pre_emphasis must be in [0, 1)")
+        if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
+            raise InvalidInput("frame_len must be a power of two >= 2")
         if not 0 < self.hop <= self.frame_len:
             raise InvalidInput("need 0 < hop <= frame_len")
         if self.num_ceps < 1:

@@ -102,6 +102,7 @@ def _votes_and_scores(model: OvOModel, X: np.ndarray):
 
     All decision values come from one kernel matrix against the distinct
     support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y.
+    A non-finite decision value is an InvalidInput.
     """
     kernel = _model_kernel(model)
     index, rows, cols, vals = {}, [], [], []  # index: vec.tobytes() -> its row of U
@@ -114,7 +115,10 @@ def _votes_and_scores(model: OvOModel, X: np.ndarray):
     U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), X.shape[1])
     coef = np.zeros((len(index), len(model.binaries)))
     np.add.at(coef, (rows, cols), vals)  # adds up a vector repeated within one pair
-    F = gram_matrix(kernel, X, U) @ coef + np.array([b.bias for b in model.binaries])
+    with np.errstate(all="ignore"):
+        F = gram_matrix(kernel, X, U) @ coef + np.array([b.bias for b in model.binaries])
+    if not np.isfinite(F).all():
+        raise InvalidInput("non-finite decision values; the model's kernel overflows")
     votes = np.zeros((X.shape[0], model.k), dtype=int)
     strength = np.zeros((X.shape[0], model.k))
     for (i, j), f in zip(model.pair_index, F.T):

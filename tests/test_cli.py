@@ -1,7 +1,9 @@
 import csv
 import itertools
+import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from test_multiclass import MALFORMED, write_malformed
 from vowelkit import cli, experiment, frontend
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, run_cli
 from vowelkit.errors import DegenerateSpectrum, TooShort, VowelkitError
-from vowelkit.experiment import ExperimentConfig, frontend_for, selection_for
+from vowelkit.experiment import ExperimentConfig, frontend_for, grid_search, selection_for
 from vowelkit.frame_select import select_frames
+from vowelkit.frontend import FrontendConfig
 from vowelkit.kernels import make_kernel
 from vowelkit.multiclass import load_model, predict_phoneme
 from vowelkit.preprocessing import apply_scaler
@@ -51,6 +54,14 @@ class TestUsage:
 
     def test_grid_needs_corpus(self, tmp_path):
         assert run_cli(["grid", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    def test_unknown_feature(self, small_corpus, tmp_path):
+        code = run_cli([
+            "train", "--corpus", str(small_corpus),
+            "--out", str(tmp_path / "m.svmodel"), "--feature", "mfcc99",
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "m.svmodel").exists()
 
 
 class TestTrain:
@@ -146,13 +157,13 @@ class TestPredictUtterance:
                                                  monkeypatch):
         wav, phn, spans = utterance
         calls = []
-        batch = cli.predict_ovo_batch
+        batch = experiment.predict_ovo_batch
 
         def counting(model, X):
             calls.append(X.shape[0])
             return batch(model, X)
 
-        monkeypatch.setattr(cli, "predict_ovo_batch", counting)
+        monkeypatch.setattr(experiment, "predict_ovo_batch", counting)
         assert run_cli(["predict", "--model", str(trained_model), "--audio", wav,
                         "--phn", phn]) == EXIT_OK
         assert calls == [27]  # nine tokens of three frames; the short token is skipped
@@ -253,6 +264,37 @@ class TestEvaluate:
         shutil.copytree(os.path.join(small_corpus, "test"), tmp_path / "test")
         code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path)])
         assert code == EXIT_OK
+
+    def test_config_mismatch_rejected(self, trained_model, small_corpus, capsys):
+        code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(small_corpus),
+                        "--frames", "middle:5"])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "different frontend/selection configuration" in captured.err
+        assert "phoneme_accuracy" not in captured.out
+
+
+class TestNonFiniteDecisionValues:
+    @pytest.fixture(scope="class")
+    def overflowing_model(self, small_corpus, tmp_path_factory):
+        """A polynomial model whose degree, edited from 3 to 400, overflows its kernel."""
+        out = tmp_path_factory.mktemp("overflow") / "m.svmodel"
+        assert run_cli(["train", "--corpus", str(small_corpus), "--out", str(out),
+                        "--kernel", "polynomial", "--sigma", "2"]) == EXIT_OK
+        text = out.read_text()
+        assert text.count(" d=3 ") == 1
+        out.write_text(text.replace(" d=3 ", " d=400 "))
+        return out
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_exits_2(self, overflowing_model, small_corpus, utterance, capsys, command):
+        wav, phn, _spans = utterance
+        inputs = {"evaluate": ["--corpus", str(small_corpus)],
+                  "predict": ["--audio", wav, "--phn", phn]}[command]
+        assert run_cli([command, "--model", str(overflowing_model)] + inputs) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error: non-finite decision values")
+        assert _token_lines(captured.out) == []  # no accuracy and no token label
 
 
 class TestGridAndReport:
@@ -356,6 +398,12 @@ MALFORMED_CONFIGS = {
     "non-finite kkt_tol": b"[svm]\nkkt_tol = nan\n",
     "max_iter": b"[svm]\nmax_iter = 1e3\n",
     "negative max_iter": b"[svm]\nmax_iter = -5\n",
+    "unknown method": b"[grid]\nmethods = middle fcmx\n",
+    "zero k": b"[grid]\nk = 0\n",
+    "unknown feature": b"[grid]\nfeatures = mfcc99\n",
+    "zero hop": b"[frontend]\nhop = 0\n",
+    "empty c list": b"[grid]\nc =\n",
+    "frame_len not a power of two": b"[frontend]\nframe_len = 200\nhop = 100\n",
     "no section header": b"seed = 1\n",
     "duplicate section": b"[grid]\nc = 10\n[grid]\n",
     "interpolation": b"[experiment]\ncorpus_root = /data/100%\n",
@@ -415,6 +463,32 @@ class TestBenchmarkConfig:
             frontend_for(feature, config.frontend)
         for method, k in itertools.product(config.methods, config.k_values):
             selection_for(method, k, seed=config.seed)
+
+
+class TestDerivedConfigReaders:
+    def test_frontend_section_and_echo(self, small_corpus, tmp_path):
+        frontend = FrontendConfig(pre_emphasis=0.9, frame_len=128, hop=64, num_ceps=10,
+                                  num_mel_filters=24, lp_order=11)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[experiment]\nphonemes = aa iy uw\n"
+            "[frontend]\npre_emphasis = 0.9\nframe_len = 128\nhop = 64\nnum_ceps = 10\n"
+            "num_mel_filters = 24\nlp_order = 11\n"
+            "[grid]\nkernels = rbf\nfeatures = mfcc36\nc = 10\nsigma = 0.5\n"
+        )
+        config = ExperimentConfig(**dict(cli._load_config_file(str(cfg)),
+                                         corpus_root=small_corpus))
+        assert config.frontend == frontend
+        report = grid_search(config)
+        assert not report.cells[0].error
+        echo = report.config_echo
+        assert set(echo) == {f.name for f in fields(ExperimentConfig)} - {"workers"}
+        for f in fields(ExperimentConfig):
+            value = getattr(config, f.name)
+            if isinstance(value, tuple):
+                assert echo[f.name] == list(value)
+        assert echo["frontend"] == vars(frontend)
+        assert json.loads(json.dumps(report.to_dict()))["config"] == echo
 
 
 class TestOutsideFileErrors:

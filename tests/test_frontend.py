@@ -273,6 +273,12 @@ class TestExtractFeatures:
         with pytest.raises(InvalidInput):
             FrontendConfig(feature_kind="lpc")
 
+    @pytest.mark.parametrize("frame_len", [0, 1, 200, 384])
+    def test_frame_len_must_be_a_power_of_two(self, frame_len):
+        # power_spectrum needs one, so the config rejects any other length up front
+        with pytest.raises(InvalidInput):
+            FrontendConfig(frame_len=frame_len, hop=1)
+
 
 class TestFilterWeightCache:
     def test_cached_weights_are_read_only(self):
