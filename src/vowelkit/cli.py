@@ -9,7 +9,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .corpus import VOWELS, load_audio, load_phn
+from .corpus import VOWELS, load_audio, load_corpus_tokens, load_phn
 from .errors import FormatError, InvalidInput, TooShort, VowelkitError
 from .experiment import (
     FEATURE_KINDS,
@@ -29,7 +29,7 @@ from .experiment import (
     vote_tokens,
 )
 from .frontend import FrontendConfig
-from .kernels import make_kernel
+from .kernels import KERNEL_KINDS, gram_matrix, make_kernel, psd_check
 from .multiclass import load_model, save_model, train_ovo
 from .preprocessing import apply_scaler
 from .svm import SvmParams
@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a one-vs-one model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kernel", default="rbf",
-                   choices=["rbf", "polynomial", "sigmoid", "linear"])
+    p.add_argument("--kernel", default="rbf", choices=list(KERNEL_KINDS))
     p.add_argument("--sigma", type=float, default=0.027)
     p.add_argument("--C", type=float, default=10.0, dest="c_value")
     p.add_argument("--psd-check", action="store_true",
@@ -190,8 +189,6 @@ def _pipeline_pieces(args):
 
 
 def _cmd_train(args):
-    from .corpus import load_corpus_tokens
-
     frontend, selection, phonemes = _pipeline_pieces(args)
     tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("train",))
     if not tokens:
@@ -201,8 +198,6 @@ def _cmd_train(args):
     params = SvmParams(C=args.c_value, kernel=kernel)
     model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint, scaler=scaler)
     if args.psd_check:
-        from .kernels import gram_matrix, psd_check
-
         _is_psd, min_eig = psd_check(gram_matrix(kernel, train.X), tol=1e-8)
         print(f"# training Gram minimum eigenvalue: {min_eig:.6g}")
     save_model(model, args.out)
@@ -239,8 +234,6 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    from .corpus import load_corpus_tokens
-
     frontend, selection, phonemes = _pipeline_pieces(args)
     model = load_model(args.model)
     tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("test",))

@@ -21,6 +21,7 @@ from .multiclass import (
     OvOModel,
     phoneme_vote,
     predict_ovo_batch,
+    save_model,
     train_ovo_many,
 )
 from .preprocessing import ScalerParams, apply_scaler, fit_scaler
@@ -78,7 +79,10 @@ class FrameDataset:
 
 def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                            signal_cache: Optional[dict] = None):
-    """Per-token feature matrices (None for a too-short token or a degenerate spectrum)."""
+    """Per-token feature matrices (None for a too-short token or a degenerate spectrum).
+
+    `vowelkit predict` passes the signal it loaded as signal_cache: raw PCM needs --sample-rate.
+    """
     cache = {} if signal_cache is None else signal_cache
     out = []
     for token in tokens:
@@ -124,8 +128,11 @@ def vote_tokens(model: OvOModel, X: np.ndarray, spans):
 def _assemble(token_feats, selection, label_names, split, dim, fingerprint) -> FrameDataset:
     """One split's selected frames, not yet scaled."""
     in_split = [(token, feats) for token, feats in token_feats if token.split == split]
-    kept, x, spans = select_tokens(in_split, selection, dim)
     index = {name: i for i, name in enumerate(label_names)}
+    unknown = sorted({token.label for token, _feats in in_split} - index.keys())
+    if unknown:
+        raise InvalidInput(f"no class for {split} label(s) {' '.join(unknown)}")
+    kept, x, spans = select_tokens(in_split, selection, dim)
     token_labels = np.array([index[token.label] for token in kept], dtype=int)
     return FrameDataset(
         X=x, frame_labels=np.repeat(token_labels, [stop - start for start, stop in spans]),
@@ -338,8 +345,6 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
     report = RunReport(cells=cells, config_echo=echo, seed=config.seed)
 
     if save_best is not None and best_model is not None:
-        from .multiclass import save_model
-
         save_model(best_model, save_best)
     return report
 

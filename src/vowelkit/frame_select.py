@@ -4,9 +4,10 @@ select_frames_many runs fuzzy c-means for every token of a call together:
 tokens of the same shape are stacked and iterated in one lock-step loop, and
 a token that converges or reaches max_iter leaves the stack with its state.
 Each token's arithmetic is the one-token loop's, so the picks, centers and
-memberships are the same bit for bit; fcm_cluster is a batch of one.  A
-stack's (B, N, c, D) distance intermediate holds at most the SMO lock-step
-budget of FULL_GRAM_LIMIT**2 entries.
+memberships are the same bit for bit; fcm_cluster is a batch of one.  All
+tokens of one frame count form one stack.  Distances go through one reused
+buffer, one center at a time unless the stack is small, so memory grows with
+the input.
 """
 
 import math
@@ -16,7 +17,10 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .errors import InvalidInput
-from .svm import FULL_GRAM_LIMIT
+
+# a stack whose center differences fit in this many entries (512 KB) takes all centers at
+# once and makes no per-center numpy calls; a larger one takes one center at a time
+ALL_CENTERS_ENTRIES = 1 << 16
 
 
 def _check_fcm(m, tol, max_iter):
@@ -84,10 +88,16 @@ def _memberships(features, centers, m):
 
     A point that sits on a center belongs to it alone.
     """
-    # squared distances; exponent 1/(m-1) on squared distance equals
-    # 2/(m-1) on the Euclidean distance
-    diff = features[..., :, None, :] - centers[..., None, :, :]
-    d2 = np.square(diff, out=diff).sum(axis=-1)
+    # squared distances through one reused buffer (see ALL_CENTERS_ENTRIES); exponent
+    # 1/(m-1) on squared distance equals 2/(m-1) on the Euclidean distance
+    one = np.broadcast(features, centers[..., :1, :])  # one center's (..., N, D)
+    c = centers.shape[-2]
+    step = c if one.size * c <= ALL_CENTERS_ENTRIES else 1
+    diff = np.empty(one.shape[:-1] + (step, one.shape[-1]))
+    d2 = np.empty(one.shape[:-1] + (c,))
+    for k in range(0, c, step):
+        np.subtract(features[..., :, None, :], centers[..., None, k : k + step, :], out=diff)
+        np.add.reduce(np.square(diff, out=diff), axis=-1, out=d2[..., k : k + step])
     zero = d2.min(axis=-1) == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = d2 ** (-1.0 / (m - 1.0))
@@ -182,7 +192,7 @@ def select_frames_many(feature_list: Sequence[np.ndarray],
     """[select_frames(f, method) for f in feature_list], with FCM run in lock-step.
 
     Tokens are grouped by shape, so no padding is needed, and each group is
-    clustered in stacks within the budget given in the module docstring.
+    clustered as one stack.
     """
     feature_list = [_feature_matrix(f) for f in feature_list]
     if isinstance(method, MiddleFrames):
@@ -191,14 +201,11 @@ def select_frames_many(feature_list: Sequence[np.ndarray],
     for t, features in enumerate(feature_list):
         groups.setdefault(features.shape, []).append(t)
     out = [None] * len(feature_list)
-    for (n, d), members in groups.items():
-        c = min(method.k, n)
-        step = max(1, FULL_GRAM_LIMIT**2 // max(1, n * c * d))
-        for s in range(0, len(members), step):
-            batch = members[s : s + step]
-            x = np.stack([feature_list[t] for t in batch])
-            states = _fcm_lockstep(x, c, method.m, method.tol, method.max_iter, method.seed)
-            for t, state in zip(batch, states):
-                picks = np.unique(state.membership.argmax(axis=0))  # sorted, one per cluster
-                out[t] = feature_list[t][picks]
+    for (n, _d), members in groups.items():
+        x = np.stack([feature_list[t] for t in members])
+        states = _fcm_lockstep(x, min(method.k, n), method.m, method.tol, method.max_iter,
+                               method.seed)
+        for t, state in zip(members, states):
+            picks = np.unique(state.membership.argmax(axis=0))  # sorted, one per cluster
+            out[t] = feature_list[t][picks]
     return out

@@ -106,11 +106,11 @@ def psd_check(gram: np.ndarray, tol: float = 1e-8):
 
 # --- serialization ---------------------------------------------------------
 
-_KINDS = {"polynomial": Polynomial, "rbf": Rbf, "sigmoid": Sigmoid, "linear": Linear}
+KERNEL_KINDS = {"polynomial": Polynomial, "rbf": Rbf, "sigmoid": Sigmoid, "linear": Linear}
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:
-    kinds = [kind for kind, cls in _KINDS.items() if type(spec) is cls]
+    kinds = [kind for kind, cls in KERNEL_KINDS.items() if type(spec) is cls]
     if not kinds:
         raise InvalidInput(f"unknown kernel spec: {spec!r}")
     return {"kind": kinds[0], **asdict(spec)}
@@ -118,7 +118,7 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
 
 def kernel_from_dict(data: dict) -> KernelSpec:
     try:
-        cls = _KINDS[data["kind"]]
+        cls = KERNEL_KINDS[data["kind"]]
         args = {k: v for k, v in data.items() if k != "kind"}
         if "d" in args:
             if not float(args["d"]).is_integer():
@@ -131,7 +131,7 @@ def kernel_from_dict(data: dict) -> KernelSpec:
 
 def make_kernel(kind: str, sigma: float) -> KernelSpec:
     """Grid-search constructor: one sigma knob, standard defaults for the rest."""
-    if kind not in _KINDS:
+    if kind not in KERNEL_KINDS:
         raise InvalidInput(f"unknown kernel kind: {kind!r}")
-    cls = _KINDS[kind]
+    cls = KERNEL_KINDS[kind]
     return cls() if cls is Linear else cls(sigma=sigma)

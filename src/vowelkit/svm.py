@@ -9,17 +9,18 @@ violation gap m(alpha) - M(alpha) is at most kkt_tol.  Indefinite kernels
 
 smo_train_many solves many problems at once, as the one-vs-one pairs of a
 multiclass SVM, or those pairs under every (kernel, C) of a grid (ThunderSVM;
-Wen et al., JMLR 2018).  Each problem has its own SvmParams: C, kkt_tol and
-max_iter are per-row state.  The problems' states are stacked as zero-padded
-(P, L) arrays and every step selects and updates all active problems together
-(Catanzaro, Sundaram & Keutzer, ICML 2008).  The elementwise arithmetic of
-each problem is smo_train's, so the models are the same bit for bit.  A Gram
-block belongs to a (problem object, kernel) key, so problems that differ only
-in C share one block.  A problem that stops leaves the stack; when one is left
-its state row continues in smo_train's own loop, which costs less per update.
-Batches count distinct blocks: a batch's blocks hold at most FULL_GRAM_LIMIT**2
-entries, the size of the largest single Gram.  A problem with more than
-FULL_GRAM_LIMIT rows is solved alone with cached Gram rows.
+Wen et al., JMLR 2018); smo_train is a batch of one.  Each problem has its own
+SvmParams: C, kkt_tol and max_iter are per-row state.  The problems' states are
+stacked as zero-padded (P, L) arrays and every step selects and updates all
+active problems together (Catanzaro, Sundaram & Keutzer, ICML 2008).  The
+elementwise arithmetic of each problem is _smo_loop's, so a model is the same
+bit for bit whatever batch it is solved in.  A Gram block belongs to a
+(problem object, kernel) key, so problems that differ only in C share one
+block.  A problem that stops leaves the stack; when one is left its state row
+continues in _smo_loop, which costs less per update.  Batches count distinct
+blocks: a batch's blocks hold at most FULL_GRAM_LIMIT**2 entries, the size of
+the largest single Gram.  A problem with more than FULL_GRAM_LIMIT rows is a
+batch of its own: it goes straight to _smo_loop on LRU-cached Gram rows.
 """
 
 import functools
@@ -96,30 +97,10 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
 
     Each update moves the pair (i, j) chosen by second-order working-set
     selection.  After max_iter updates the model is flagged converged=False
-    but remains usable; its gap tells how far from optimal it stopped.
+    but remains usable; its gap tells how far from optimal it stopped.  A
+    batch of one of smo_train_many.
     """
-    X, y = problem.X, problem.y
-    l = X.shape[0]
-    kernel = params.kernel
-    # a full Gram matrix below FULL_GRAM_LIMIT rows, LRU-cached rows above;
-    # the policy only trades memory for time, values are identical either way
-    if l <= FULL_GRAM_LIMIT:
-        gram = gram_matrix(kernel, X)
-        diag = np.diag(gram)
-        row = gram.__getitem__
-    else:
-        diag = np.array([gram_matrix(kernel, X[t : t + 1])[0, 0] for t in range(l)])
-        row = functools.lru_cache(maxsize=ROW_CACHE_SIZE)(
-            lambda i: gram_matrix(kernel, X[i : i + 1], X)[0]
-        )
-    # the state is w = y * alpha, so alpha = |w|, and w lies in [lo, hi]: [0, C] where
-    # y = +1 and [-C, 0] where y = -1.  I_up is w < hi and I_low is w > lo.
-    C = float(params.C)
-    lo, hi = np.where(y < 0.0, -C, 0.0), np.where(y > 0.0, C, 0.0)
-    w = np.zeros(l)
-    v = y.copy()  # -y * gradient of 0.5 a'Qa - e'a with Q = yy'K; the gradient is -1 at a = 0
-    n_iter, m, M = _smo_loop(row, diag, lo, hi, params.kkt_tol, _max_iter(params, l), w, v, 0)
-    return _model(problem, params, w, v, n_iter, m, M)
+    return smo_train_many([problem], params)[0]
 
 
 def _max_iter(params: SvmParams, l: int) -> int:
@@ -176,13 +157,13 @@ def _model(problem: BinaryProblem, params: SvmParams, w, v, n_iter, m, M) -> Bin
 
 def smo_train_many(problems: Sequence[BinaryProblem],
                    params: Union[SvmParams, Sequence[SvmParams]]) -> List[BinaryModel]:
-    """[smo_train(p, q) for p, q in zip(problems, params)], bit for bit, solved in lock-step.
+    """Train one model per problem, every batch of them in one lock-step loop.
 
     params is one SvmParams for every problem or one per problem.  The same
     problem object under the same kernel has one Gram block, whatever its C.
     Taken in order of their block's first appearance, problems go into batches
     whose distinct blocks hold at most FULL_GRAM_LIMIT**2 entries; a problem
-    above FULL_GRAM_LIMIT rows goes to smo_train alone.  See the module docstring.
+    above FULL_GRAM_LIMIT rows is a batch of its own.  See the module docstring.
     """
     if isinstance(params, SvmParams):
         params = [params] * len(problems)
@@ -191,20 +172,20 @@ def smo_train_many(problems: Sequence[BinaryProblem],
     models = [None] * len(problems)
     blocks = {}  # Gram block key -> the positions of its problems
     for n, (problem, q) in enumerate(zip(problems, params)):
-        if problem.y.size > FULL_GRAM_LIMIT:
-            models[n] = smo_train(problem, q)
-        else:
-            blocks.setdefault((id(problem), q.kernel), []).append(n)
-    batches, width, n_blocks = [[]], 0, 0
+        blocks.setdefault((id(problem), q.kernel), []).append(n)
+    batches, alone, width, n_blocks = [[]], [], 0, 0
     for members in blocks.values():
         l = problems[members[0]].y.size
+        if l > FULL_GRAM_LIMIT:
+            alone += [[n] for n in members]
+            continue
         width = max(width, l)
         if (n_blocks + 1) * width * width > FULL_GRAM_LIMIT**2:
             batches.append([])
             width, n_blocks = l, 0
         batches[-1] += members
         n_blocks += 1
-    for batch in batches:
+    for batch in filter(None, batches + alone):
         solved = _lockstep([problems[n] for n in batch], [params[n] for n in batch])
         for n, model in zip(batch, solved):
             models[n] = model
@@ -212,30 +193,42 @@ def smo_train_many(problems: Sequence[BinaryProblem],
 
 
 def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[BinaryModel]:
-    """One loop of smo_train's updates over every problem's state stacked as (P, L)."""
-    if len(problems) <= 1:
-        return [smo_train(p, q) for p, q in zip(problems, params)]
+    """_smo_loop's updates over the states of P >= 1 problems stacked as (P, L).
+
+    One problem above FULL_GRAM_LIMIT rows reads LRU-cached Gram rows instead of
+    a full block: same values, less memory.
+    """
     sizes = [p.y.size for p in problems]
     P, L = len(problems), max(sizes)
-    keys = [(id(p), q.kernel) for p, q in zip(problems, params)]
-    # G stacks one Gram block per key, L rows apart, and base holds each problem's
-    # block offset; the state is (P, L), zero-padded
-    G = np.zeros((len(set(keys)) * L, L))
-    offsets = {}  # key -> its block's offset
-    base = np.empty(P, dtype=int)
     diag, y = np.zeros((P, L)), np.zeros((P, L))
-    for r, (problem, q, key, l) in enumerate(zip(problems, params, keys, sizes)):
-        if key not in offsets:
-            offsets[key] = len(offsets) * L
-            G[offsets[key] : offsets[key] + l, :l] = gram_matrix(q.kernel, problem.X)
-        base[r] = offsets[key]
-        diag[r, :l] = np.diag(G[base[r] : base[r] + l, :l])
-        y[r, :l] = problem.y
-    # smo_train's state, one row per problem; a padded slot has y = 0 and
-    # lo = hi = 0, which keeps it out of I_up and I_low
+    base = np.zeros(P, dtype=int)  # each problem's block offset in G
+    G = None
+    if L > FULL_GRAM_LIMIT:  # one problem, on cached rows
+        X, kernel = problems[0].X, params[0].kernel
+        diag[0] = [gram_matrix(kernel, X[t : t + 1])[0, 0] for t in range(L)]
+        cached_row = functools.lru_cache(maxsize=ROW_CACHE_SIZE)(
+            lambda i: gram_matrix(kernel, X[i : i + 1], X)[0]
+        )
+        y[0] = problems[0].y
+    else:
+        # G stacks one Gram block per (problem object, kernel) key, L rows apart
+        keys = [(id(p), q.kernel) for p, q in zip(problems, params)]
+        G = np.zeros((len(set(keys)) * L, L))
+        offsets = {}  # key -> its block's offset
+        for r, (problem, q, key, l) in enumerate(zip(problems, params, keys, sizes)):
+            if key not in offsets:
+                offsets[key] = len(offsets) * L
+                G[offsets[key] : offsets[key] + l, :l] = gram_matrix(q.kernel, problem.X)
+            base[r] = offsets[key]
+            diag[r, :l] = np.diag(G[base[r] : base[r] + l, :l])
+            y[r, :l] = problem.y
+    # the state is w = y * alpha, so alpha = |w|, and w lies in [lo, hi]: [0, C] where
+    # y = +1 and [-C, 0] where y = -1.  I_up is w < hi and I_low is w > lo.  A padded
+    # slot has y = 0 and lo = hi = 0, which keeps it out of I_up and I_low.
     C = np.array([q.C for q in params], dtype=float)[:, None]
     lo, hi = np.where(y < 0.0, -C, 0.0), np.where(y > 0.0, C, 0.0)
-    w, v = np.zeros((P, L)), y  # v = y at alpha = 0; y itself is not needed again
+    # v = -y * gradient of 0.5 a'Qa - e'a (Q = yy'K), which is y at a = 0; y is not needed again
+    w, v = np.zeros((P, L)), y
     kkt_tol = np.array([q.kkt_tol for q in params])
     max_iter = np.array([_max_iter(q, l) for q, l in zip(params, sizes)])
     n_iter, budget = 0, max_iter.min()  # every active problem has made n_iter updates
@@ -272,7 +265,7 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         a = np.where(curv > 0.0, curv, TAU)
         j = np.divide(np.multiply(b, b, out=curv), a, out=curv).argmax(axis=1)
         fj = rows + j
-        # smo_train's clipped step
+        # _smo_loop's clipped step
         hi_i, w_i, lo_j, w_j = hi.take(fi), w.take(fi), lo.take(fj), w.take(fj)
         cap_i, cap_j = hi_i - w_i, w_j - lo_j
         t = np.minimum(np.minimum(b.take(fj) / a.take(fj), cap_i), cap_j)
@@ -282,11 +275,12 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         k_i *= t[:, None]
         v -= k_i
         n_iter += 1
-    if ids.size:  # the last problem continues in smo_train's loop, cheaper for one
+    if ids.size:  # the last problem continues in _smo_loop, cheaper for one
         p, l, g = ids[0], sizes[ids[0]], base[0]
+        row = cached_row if G is None else G[g : g + l, :l].__getitem__
         w, v = w[0, :l], v[0, :l]
-        n, m, M = _smo_loop(G[g : g + l, :l].__getitem__, diag[0, :l], lo[0, :l], hi[0, :l],
-                            kkt_tol[0], max_iter[0], w, v, n_iter)
+        n, m, M = _smo_loop(row, diag[0, :l], lo[0, :l], hi[0, :l], kkt_tol[0], max_iter[0],
+                            w, v, n_iter)
         models[p] = _model(problems[p], params[p], w, v, n, m, M)
     return models
 

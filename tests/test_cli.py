@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import shutil
+import wave
 from dataclasses import fields
 
 import numpy as np
@@ -203,6 +204,20 @@ class TestPredictUtterance:
         assert lines[2] == f"utt {begin} {end} {label} -"
         assert lines[:2] + lines[3:] == normal[:2] + normal[3:]
 
+    def test_raw_pcm_matches_wav(self, trained_model, utterance, tmp_path, capsys):
+        # raw PCM has no header, so only the signal loaded with --sample-rate can be
+        # read; extract_token_features must use it rather than reload the file
+        wav, phn, _spans = utterance
+        with wave.open(wav, "rb") as wf:
+            pcm = tmp_path / "utt.pcm"
+            pcm.write_bytes(wf.readframes(wf.getnframes()))
+        assert run_cli(["predict", "--model", str(trained_model), "--audio", wav,
+                        "--phn", phn]) == EXIT_OK
+        from_wav = _token_lines(capsys.readouterr().out)
+        assert run_cli(["predict", "--model", str(trained_model), "--audio", str(pcm),
+                        "--phn", phn, "--sample-rate", "16000"]) == EXIT_OK
+        assert _token_lines(capsys.readouterr().out) == from_wav
+
     def test_only_skipped_tokens(self, trained_model, utterance, tmp_path, capsys):
         wav, _phn, spans = utterance
         begin, end, label = spans[-1]  # too short for one frame
@@ -264,6 +279,23 @@ class TestEvaluate:
         shutil.copytree(os.path.join(small_corpus, "test"), tmp_path / "test")
         code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path)])
         assert code == EXIT_OK
+
+    def test_test_vowel_without_a_class_exits_2(self, tmp_path, capsys):
+        formants = {k: SYNTH_FORMANTS[k] for k in ("aa", "eh", "iy", "uw")}
+        corpus = make_corpus(tmp_path / "corpus", formants=formants, tokens_per_class=8,
+                             noise=0.1, jitter=0.05, seed=4)
+        model = tmp_path / "m.svmodel"
+        assert run_cli(["train", "--corpus", corpus, "--out", str(model),
+                        "--phonemes", "aa iy uw"]) == EXIT_OK
+        for phonemes in ([], ["--phonemes", "aa iy uw eh"]):
+            capsys.readouterr()
+            assert run_cli(["evaluate", "--model", str(model), "--corpus", corpus,
+                            *phonemes]) == EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.err.startswith("data error") and "eh" in captured.err
+            assert "phoneme_accuracy" not in captured.out
+        assert run_cli(["evaluate", "--model", str(model), "--corpus", corpus,
+                        "--phonemes", "aa iy uw"]) == EXIT_OK
 
     def test_config_mismatch_rejected(self, trained_model, small_corpus, capsys):
         code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(small_corpus),

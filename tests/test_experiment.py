@@ -110,6 +110,16 @@ class TestBuildDataset:
         with pytest.raises(InvalidInput):
             build_dataset([], frontend_for("mfcc36"), MiddleFrames(3))
 
+    def test_label_without_a_class_rejected(self, tmp_path):
+        tokens = make_token_dir(
+            tmp_path,
+            [("a", "aa", 1024, "train"), ("b", "iy", 1024, "train"),
+             ("c", "aa", 1024, "test"), ("d", "eh", 1024, "test")],
+        )
+        with pytest.raises(InvalidInput, match="eh"):
+            build_dataset(tokens, frontend_for("mfcc36"), MiddleFrames(3),
+                          label_names=["aa", "iy"])
+
 
 class TestEvaluate:
     def train_small(self, small_corpus, selection=None, params=None):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,14 @@ class TestFcmLockstep:
         for x, state in zip(tokens, states):
             _assert_state_equal(state, _one_token_fcm(x, 7, seed=5))
 
+    @pytest.mark.parametrize("entries", [0, 1 << 30])
+    def test_centers_one_at_a_time_or_all_at_once(self, entries, monkeypatch):
+        monkeypatch.setattr(frame_select, "ALL_CENTERS_ENTRIES", entries)
+        tokens = _tokens(40, 12, frames=[24])
+        states = _fcm_lockstep(np.stack(tokens), 7, 2.0, 1e-5, 300, 5)
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, 7, seed=5))
+
     def test_zero_distances(self):
         rng = np.random.default_rng(32)
         base = rng.normal(size=(10, 3))
@@ -322,12 +332,17 @@ class TestFcmLockstep:
         assert np.array_equal(fcm_select(x, 4), x[[0, 1, 3]])
         assert np.array_equal(fcm_cluster(x, 4).centers, states[0].centers)
 
-    def test_stacks_split_within_budget(self, monkeypatch):
-        tokens = _tokens(35, 30, frames=[5, 24])
-        want = select_frames_many(tokens, Fcm(7))
-        monkeypatch.setattr(frame_select, "FULL_GRAM_LIMIT", 140)  # 3 tokens of 24 frames
-        got = select_frames_many(tokens, Fcm(7))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    def test_peak_memory_grows_with_the_input(self):
+        rng = np.random.default_rng(39)
+        tokens = [rng.normal(size=(24, 36)) for _ in range(300)]
+        tracemalloc.start()
+        try:
+            select_frames_many(tokens, Fcm(7))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one stack of the tokens and one buffer of its size, no (B, N, c, D) array
+        assert peak < 6 * sum(t.nbytes for t in tokens)
 
     def test_fcm_cluster_is_a_batch_of_one(self):
         x = _tokens(36, 1, frames=[24])[0]

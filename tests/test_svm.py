@@ -336,8 +336,9 @@ class TestLockstep:
         problems = random_problems(5, [10, 12, 8, 40, 15, 20, 9])
         params = SvmParams(C=10.0, kernel=Rbf(0.5))
         models = smo_train_many(problems, params)
-        # at most 30**2 stacked Gram entries per batch; l = 40 takes the row-cache path
-        assert batches == [[10, 12, 8, 15], [20, 9]]
+        # at most 30**2 stacked Gram entries per batch; l = 40 is a batch of its own
+        # on the row-cache path
+        assert batches == [[10, 12, 8, 15], [20, 9], [40]]
         for many, problem in zip(models, problems):
             assert_same_model(many, smo_train(problem, params))
 
