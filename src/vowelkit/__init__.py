@@ -13,7 +13,7 @@ from .errors import (
     VowelkitError,
 )
 from .frontend import FrontendConfig, RawSignal, extract_features
-from .frame_select import Fcm, MiddleFrames, fcm_cluster, fcm_select, select_middle
+from .frame_select import Fcm, MiddleFrames, fcm_cluster, select_middle
 from .kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix, kernel_eval, psd_check
 from .preprocessing import ScalerParams, apply_scaler, fit_scaler
 from .svm import (

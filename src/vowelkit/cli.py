@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields
 
 from .corpus import VOWELS, load_audio, load_corpus_tokens, load_phn
-from .errors import FormatError, InvalidInput, TooShort, VowelkitError
+from .errors import FormatError, InvalidInput, TooShort
 from .experiment import (
     FEATURE_KINDS,
     METHOD_NAMES,
@@ -205,9 +205,9 @@ def _cmd_train(args):
                   "sigma": args.sigma, "C": args.c_value, "feature": args.feature,
                   "frames": args.frames, "phonemes": " ".join(phonemes),
                   "seed": args.seed, "out": args.out})
-    bad = model.diagnostics["not_converged"]
-    print(f"trained {len(model.binaries)} binary models "
-          f"({len(model.binaries) - len(bad)} converged) on {train.n_tokens} tokens")
+    converged = len(model.binaries) - len(model.not_converged)
+    print(f"trained {len(model.binaries)} binary models ({converged} converged) "
+          f"on {train.n_tokens} tokens")
     return EXIT_OK
 
 
@@ -267,8 +267,10 @@ def _cmd_grid(args):
     emit_report(report, "markdown", os.path.join(args.out, "report.md"))
     emit_report(report, "json", os.path.join(args.out, "report.json"))
     _echo_config(report.config_echo)
-    failed = sum(1 for c in report.cells if c.error)
-    print(f"{len(report.cells)} cells ({failed} failed) -> {args.out}")
+    failed = [c for c in report.cells if c.error]
+    print(f"{len(report.cells)} cells ({len(failed)} failed) -> {args.out}")
+    if len(failed) == len(report.cells):
+        raise InvalidInput(f"no grid cell ran; the first failed with: {failed[0].error}")
     return EXIT_OK
 
 
@@ -306,9 +308,6 @@ def run_cli(argv=None) -> int:
     except (FormatError, TooShort, InvalidInput, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except VowelkitError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -6,13 +6,13 @@ import io
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .corpus import VOWELS, PhonemeToken, load_audio, load_corpus_tokens
-from .errors import DegenerateSpectrum, InvalidInput, TooShort, VowelkitError
+from .errors import DegenerateSpectrum, FormatError, InvalidInput, TooShort, VowelkitError
 from .frame_select import Fcm, MiddleFrames, SelectionMethod, select_frames_many
 from .frontend import FrontendConfig, RawSignal, extract_features
 from .kernels import make_kernel
@@ -29,11 +29,6 @@ from .svm import SvmParams
 
 FEATURE_KINDS = ("mfcc12", "mfcc36", "plp12", "plp36")
 METHOD_NAMES = ("middle", "fcm")
-
-CSV_COLUMNS = [
-    "kernel", "feature", "C", "sigma", "K", "method", "frame_acc", "phoneme_acc",
-    "train_s", "test_s", "n_train", "n_test", "skipped", "converged_pairs",
-]
 
 
 def frontend_for(feature: str, base: FrontendConfig = FrontendConfig()) -> FrontendConfig:
@@ -212,6 +207,8 @@ class ExperimentConfig:
 
 @dataclass
 class GridCell:
+    """One setting of the sweep and its results; the fields are every report's schema."""
+
     kernel: str
     feature: str
     C: float
@@ -234,6 +231,28 @@ class GridCell:
         return (self.kernel, self.feature, self.C, self.sigma, self.K, self.method)
 
 
+CSV_COLUMNS = [f.name for f in fields(GridCell) if f.name != "confusion"]  # error comes last
+_FIELD_TYPES = {f.name: f.type for f in fields(GridCell)}
+# the JSON values a report may hold for each field type; a bool is never one of them
+_JSON_TYPES = {str: str, int: int, float: (int, float), Optional[list]: (list, type(None))}
+
+
+def _cell_from_dict(values: dict) -> GridCell:
+    """A GridCell from its JSON form; a value of the wrong type is a FormatError."""
+    cell = GridCell(**values)
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cell, name)
+        try:
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise TypeError
+            if kind is float:
+                setattr(cell, name, float(value))  # an int too large for a float overflows
+        except (TypeError, OverflowError):
+            raise FormatError(f"report cell field {name} has a bad "
+                              f"{type(value).__name__} value") from None
+    return cell
+
+
 @dataclass
 class RunReport:
     cells: List[GridCell]
@@ -249,7 +268,7 @@ class RunReport:
 
     @staticmethod
     def from_dict(data: dict) -> "RunReport":
-        cells = [GridCell(**c) for c in data["cells"]]
+        cells = [_cell_from_dict(c) for c in data["cells"]]
         return RunReport(cells=cells, config_echo=data["config"], seed=data["seed"])
 
 
@@ -261,7 +280,7 @@ def _evaluate_cell(cell: GridCell, model: OvOModel, train: FrameDataset, test: F
     cell.phoneme_acc = metrics["phoneme_accuracy"]
     cell.confusion = metrics["confusion"].tolist()
     n_pairs = len(model.pair_index)
-    cell.converged_pairs = f"{n_pairs - len(model.diagnostics['not_converged'])}/{n_pairs}"
+    cell.converged_pairs = f"{n_pairs - len(model.not_converged)}/{n_pairs}"
     cell.n_train = train.n_tokens
     cell.n_test = test.n_tokens
     cell.skipped = train.skipped + test.skipped
@@ -276,8 +295,10 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
     comes up, and each group's dataset is built just before it is trained,
     so a sweep holds one feature's tokens and one dataset at a time.  A
     group's cells are trained in one train_ovo_many call, and each records
-    an equal share of its seconds as train_s.  A failing cell records its
-    error and does not abort the sweep.
+    an equal share of its seconds as train_s.  A VowelkitError fails exactly
+    the cells that share what raised it: one cell's kernel setting or
+    evaluation, or one group's front end, selection, tokens, dataset or
+    training.  A failed cell records its error; the sweep goes on.
     """
     if tokens is None:
         tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
@@ -293,41 +314,35 @@ def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken
          )),
         key=lambda c: c.coords,
     )
-    groups: Dict[tuple, List[Tuple[int, GridCell]]] = {}
+    groups: Dict[tuple, List[Tuple[int, GridCell, SvmParams]]] = {}
     for n, cell in enumerate(cells):
-        groups.setdefault((cell.feature, cell.K, cell.method), []).append((n, cell))
+        try:
+            params = SvmParams(C=cell.C, kernel=make_kernel(cell.kernel, cell.sigma),
+                               kkt_tol=config.kkt_tol, max_iter=config.max_iter)
+        except VowelkitError as exc:
+            cell.error = str(exc)
+            continue
+        groups.setdefault((cell.feature, cell.K, cell.method), []).append((n, cell, params))
     best_model, best_rank = None, None
     token_feature, token_feats = None, None
     for (feature, k, method), group in sorted(groups.items()):
-        frontend = frontend_for(feature, config.frontend)
-        if feature != token_feature:
-            token_feature, token_feats = feature, extract_token_features(tokens, frontend)
-        train, test, scaler = build_dataset(
-            tokens, frontend, selection_for(method, k, seed=config.seed),
-            label_names=label_names, token_feats=token_feats,
-        )
-        ready, params_list = [], []
-        for n, cell in group:
-            try:
-                params_list.append(SvmParams(
-                    C=cell.C, kernel=make_kernel(cell.kernel, cell.sigma),
-                    kkt_tol=config.kkt_tol, max_iter=config.max_iter))
-            except VowelkitError as exc:
-                cell.error = str(exc)
-                continue
-            ready.append((n, cell))
-        if not ready:
-            continue
-        t0 = time.perf_counter()
         try:
-            models = train_ovo_many(train.as_labeled(), params_list,
+            frontend = frontend_for(feature, config.frontend)
+            if feature != token_feature:
+                token_feature, token_feats = feature, extract_token_features(tokens, frontend)
+            train, test, scaler = build_dataset(
+                tokens, frontend, selection_for(method, k, seed=config.seed),
+                label_names=label_names, token_feats=token_feats,
+            )
+            t0 = time.perf_counter()
+            models = train_ovo_many(train.as_labeled(), [params for _n, _c, params in group],
                                     fingerprint=train.fingerprint, scaler=scaler)
         except VowelkitError as exc:
-            for _n, cell in ready:
+            for _n, cell, _params in group:
                 cell.error = str(exc)
             continue
-        train_s = (time.perf_counter() - t0) / len(ready)
-        for (n, cell), model in zip(ready, models):
+        train_s = (time.perf_counter() - t0) / len(group)
+        for (n, cell, _params), model in zip(group, models):
             cell.train_s = train_s
             try:
                 _evaluate_cell(cell, model, train, test)
@@ -361,24 +376,16 @@ def _csv_value(v):
 def report_to_csv(report: RunReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS + ["error"])
+    writer.writerow(CSV_COLUMNS)
     for cell in report.cells:
-        row = [_csv_value(getattr(cell, col)) for col in CSV_COLUMNS]
-        writer.writerow(row + [cell.error])
+        writer.writerow([_csv_value(getattr(cell, col)) for col in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def parse_report_csv(text: str) -> List[dict]:
-    """Round-trip reader for report_to_csv output; numerics come back exact."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for record in reader:
-        for col in ("C", "sigma", "frame_acc", "phoneme_acc", "train_s", "test_s"):
-            record[col] = float(record[col])
-        for col in ("K", "n_train", "n_test", "skipped"):
-            record[col] = int(record[col])
-        rows.append(record)
-    return rows
+    """Round-trip reader for report_to_csv output; each column comes back as its field's type."""
+    return [{col: _FIELD_TYPES[col](value) for col, value in record.items()}
+            for record in csv.DictReader(io.StringIO(text))]
 
 
 def _pivot(rows, col_keys, cell_value, col_title):

@@ -171,18 +171,6 @@ def fcm_cluster(
     return _fcm_lockstep(features[None], c, m, tol, max_iter, seed)[0]
 
 
-def fcm_select(
-    features: np.ndarray,
-    k: int,
-    m: float = 2.0,
-    tol: float = 1e-5,
-    max_iter: int = 300,
-    seed: int = 0,
-) -> np.ndarray:
-    """Pick one maximal-membership frame per cluster; rows in original order."""
-    return select_frames_many([features], Fcm(k, m=m, tol=tol, max_iter=max_iter, seed=seed))[0]
-
-
 def select_frames(features: np.ndarray, method: SelectionMethod) -> np.ndarray:
     return select_frames_many([features], method)[0]
 

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,11 +43,15 @@ class OvOModel:
     binaries: List[BinaryModel]
     scaler: Optional[ScalerParams] = None
     fingerprint: str = ""
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def k(self) -> int:
         return len(self.label_names)
+
+    @property
+    def not_converged(self) -> List[Tuple[int, int]]:
+        """The class pairs whose solve stopped at max_iter."""
+        return [p for p, b in zip(self.pair_index, self.binaries) if not b.converged]
 
 
 def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
@@ -56,11 +60,11 @@ def train_ovo(data: LabeledDataset, params: SvmParams, fingerprint: str = "",
     return train_ovo_many(data, [params], fingerprint, scaler)[0]
 
 
-def train_ovo_many(data: LabeledDataset, params_list: Sequence[SvmParams],
+def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
                    fingerprint: str = "", scaler: Optional[ScalerParams] = None) -> List[OvOModel]:
-    """[train_ovo(data, params, ...) for params in params_list] in one smo_train_many.
+    """[train_ovo(data, q, ...) for q in params] in one smo_train_many.
 
-    The pair problems are built once and shared by every params, so pairs that
+    The pair problems are built once and shared by every setting, so pairs that
     differ only in C share one Gram block.
     """
     k = len(data.label_names)
@@ -73,10 +77,9 @@ def train_ovo_many(data: LabeledDataset, params_list: Sequence[SvmParams],
         mask = (data.labels == i) | (data.labels == j)
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
         problems.append(BinaryProblem(data.X[mask], y))
-    solved = smo_train_many(problems * len(params_list),
-                            [q for q in params_list for _pair in pairs])
+    solved = smo_train_many(problems * len(params), [q for q in params for _pair in pairs])
     models = []
-    for c in range(len(params_list)):
+    for c in range(len(params)):
         binaries = solved[c * len(pairs) : (c + 1) * len(pairs)]
         models.append(OvOModel(
             label_names=list(data.label_names),
@@ -84,7 +87,6 @@ def train_ovo_many(data: LabeledDataset, params_list: Sequence[SvmParams],
             binaries=binaries,
             scaler=scaler,
             fingerprint=fingerprint,
-            diagnostics={"not_converged": [p for p, b in zip(pairs, binaries) if not b.converged]},
         ))
     return models
 
@@ -249,6 +251,8 @@ def _read_model(lines) -> OvOModel:
     if header[1] != str(MODEL_VERSION):
         raise FormatError(f"unsupported model version {header[1]}")
     label_names = next_line("labels").split()[1:]
+    if len(label_names) < 2 or label_names != sorted(set(label_names)):
+        raise FormatError("need two or more labels, sorted and distinct")
     kernel = _parse_kernel_line(next_line("kernel").split(" ", 1)[1])
     fingerprint = next_line("fingerprint").split(" ", 1)[1]
     scaler_line = next_line()
@@ -260,24 +264,25 @@ def _read_model(lines) -> OvOModel:
         scaler = ScalerParams(mins, maxs)
     else:
         raise FormatError(f"expected scaler block, got {scaler_line!r}")
+    k = len(label_names)
     try:
-        n_pairs = int(next_line("pairs").split()[1])
+        if int(next_line("pairs").split()[1]) != k * (k - 1) // 2:
+            raise ValueError(f"need every class pair of {k} classes once")
     except (ValueError, IndexError) as exc:
-        raise FormatError("bad pair count") from exc
+        raise FormatError(f"bad pair count: {exc}") from exc
     dim = scaler.dim if scaler is not None else None
     vectors = {}  # vector text -> parsed vector, so a shared vector is parsed once
     pair_index = []
     binaries = []
-    for _ in range(n_pairs):
+    for pair in itertools.combinations(range(k), 2):
         fields = next_line("pair").split()
         try:
-            i, j = int(fields[1]), int(fields[2])
             attrs = dict(f.split("=", 1) for f in fields[3:])
             bias = _number(attrs["bias"], "pair line")
             c_val = _number(attrs["C"], "pair line")
             converged = bool(int(attrs["converged"]))
             nsv = int(attrs["nsv"])
-            if i == j or nsv < 0 or not {i, j} <= set(range(len(label_names))):
+            if (int(fields[1]), int(fields[2])) != pair or nsv < 0:  # every pair once, in order
                 raise ValueError
         except (KeyError, ValueError, IndexError) as exc:
             raise FormatError(f"bad pair line: {fields!r}") from exc
@@ -295,12 +300,10 @@ def _read_model(lines) -> OvOModel:
             alphas.append(_number(fields[1], "sv line"))
             labels.append(1.0 if fields[2] == "+1" else -1.0)
             vecs.append(vectors[fields[3]])
-        pair_index.append((i, j))
+        pair_index.append(pair)
         binaries.append(BinaryModel(np.array(vecs, dtype=float).reshape(nsv, dim or 0), alphas,
                                     labels, bias, kernel, converged=converged, C=c_val))
     if next_line() != "end":
         raise FormatError("missing end marker")
-    not_converged = [p for p, b in zip(pair_index, binaries) if not b.converged]
     return OvOModel(label_names, pair_index, binaries, scaler,
-                    "" if fingerprint == "-" else fingerprint,
-                    diagnostics={"not_converged": not_converged})
+                    "" if fingerprint == "-" else fingerprint)

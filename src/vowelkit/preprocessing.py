@@ -38,13 +38,10 @@ def apply_scaler(params: ScalerParams, x: np.ndarray) -> np.ndarray:
     Constant columns (max == min) map to 0.
     """
     x = np.asarray(x, dtype=float)
-    one_d = x.ndim == 1
-    if one_d:
-        x = x[None, :]
-    if x.shape[1] != params.dim:
-        raise InvalidInput(f"expected {params.dim} columns, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise InvalidInput(f"expected a matrix of {params.dim} columns, got shape {x.shape}")
     span = params.maxs - params.mins
     safe = np.where(span > 0.0, span, 1.0)
     y = np.clip((x - params.mins) / safe, 0.0, 1.0)
     y[:, span == 0.0] = 0.0
-    return y[0] if one_d else y
+    return y

@@ -211,14 +211,18 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         )
         y[0] = problems[0].y
     else:
-        # G stacks one Gram block per (problem object, kernel) key, L rows apart
+        # G stacks one Gram block per (problem object, kernel) key, L rows apart; a single
+        # block is G itself, not a copy in a zero-filled stack
         keys = [(id(p), q.kernel) for p, q in zip(problems, params)]
-        G = np.zeros((len(set(keys)) * L, L))
+        n_blocks = len(set(keys))
+        G = (np.zeros((n_blocks * L, L)) if n_blocks > 1
+             else gram_matrix(params[0].kernel, problems[0].X))
         offsets = {}  # key -> its block's offset
         for r, (problem, q, key, l) in enumerate(zip(problems, params, keys, sizes)):
             if key not in offsets:
                 offsets[key] = len(offsets) * L
-                G[offsets[key] : offsets[key] + l, :l] = gram_matrix(q.kernel, problem.X)
+                if n_blocks > 1:
+                    G[offsets[key] : offsets[key] + l, :l] = gram_matrix(q.kernel, problem.X)
             base[r] = offsets[key]
             diag[r, :l] = np.diag(G[base[r] : base[r] + l, :l])
             y[r, :l] = problem.y

@@ -17,7 +17,14 @@ from test_multiclass import MALFORMED, write_malformed
 from vowelkit import cli, experiment, frontend
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, run_cli
 from vowelkit.errors import DegenerateSpectrum, TooShort, VowelkitError
-from vowelkit.experiment import ExperimentConfig, frontend_for, grid_search, selection_for
+from vowelkit.experiment import (
+    ExperimentConfig,
+    GridCell,
+    frontend_for,
+    grid_search,
+    parse_report_csv,
+    selection_for,
+)
 from vowelkit.frame_select import select_frames
 from vowelkit.frontend import FrontendConfig
 from vowelkit.kernels import make_kernel
@@ -374,6 +381,78 @@ class TestGridAndReport:
             "report", "--infile", str(bad), "--out", str(tmp_path), "--format", "csv",
         ])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("features, code", [("mfcc36 plp36", EXIT_OK), ("plp36", EXIT_DATA)])
+    def test_too_high_lp_order_fails_only_the_plp_cells(self, small_corpus, tmp_path, capsys,
+                                                         features, code):
+        # 16 kHz audio has 20 critical bands, so a PLP order of 20 fails in the front end
+        cfg = tmp_path / "plp.cfg"
+        cfg.write_text("[experiment]\nphonemes = aa iy uw\n"
+                       f"[grid]\nkernels = rbf\nfeatures = {features}\nc = 10\nsigma = 0.5\n"
+                       "k = 3\nmethods = middle\n[frontend]\nlp_order = 20\n")
+        out = tmp_path / "out"
+        assert run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(out)]) == code
+        rows = parse_report_csv((out / "report.csv").read_text())
+        errors = {row["feature"]: row["error"] for row in rows}
+        assert errors.pop("plp36") == "autocorrelation order must be < number of bands"
+        assert errors == ({"mfcc36": ""} if code == EXIT_OK else {})
+        assert (out / "report.md").exists() and (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no grid cell ran") == (code == EXIT_DATA)
+
+
+@pytest.fixture(scope="module")
+def grid_report(small_corpus, tmp_path_factory):
+    """A one-cell grid's report.json, as a dict."""
+    out = tmp_path_factory.mktemp("grid")
+    assert run_cli(["grid", "--corpus", str(small_corpus), "--out", str(out),
+                    "--config", _mini_cfg(out)]) == EXIT_OK
+    return json.loads((out / "report.json").read_text())
+
+
+def _rerender(report, tmp_path):
+    """Exit codes of `vowelkit report` on report in both formats."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    return [run_cli(["report", "--infile", str(path), "--out", str(tmp_path / fmt),
+                     "--format", fmt]) for fmt in ("csv", "markdown")]
+
+
+# JSON values of every type, nested a little; 10**400 overflows a float
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+class TestReportCellTypes:
+    @pytest.mark.parametrize("name, value, code", [
+        ("C", "x", EXIT_DATA), ("K", None, EXIT_DATA), ("kernel", 1, EXIT_DATA),
+        ("phoneme_acc", "x", EXIT_DATA), ("frame_acc", True, EXIT_DATA),
+        pytest.param("C", 10**400, EXIT_DATA, id="C-int too large for a float"),
+        ("confusion", {}, EXIT_DATA), ("K", 3.0, EXIT_DATA),
+        ("C", 10, EXIT_OK), ("confusion", None, EXIT_OK), ("error", "failed", EXIT_OK),
+    ])
+    def test_wrong_type_is_a_data_error(self, grid_report, tmp_path, capsys, name, value,
+                                        code):
+        report = json.loads(json.dumps(grid_report))
+        report["cells"][0][name] = value
+        assert _rerender(report, tmp_path) == [code, code]
+        err = capsys.readouterr().err
+        assert (f"data error: report cell field {name} has a bad" in err) == (code == EXIT_DATA)
+        if code == EXIT_OK and name == "C":  # an int is read as a float
+            assert (tmp_path / "csv" / "report.csv").read_text().splitlines()[1].startswith(
+                "rbf,mfcc36,10.0,0.5,3,middle,")
+
+    @FUZZ
+    @given(name=st.sampled_from([f.name for f in fields(GridCell)]), value=JSON_VALUES)
+    def test_fuzzed_cell_field_exits_0_or_2(self, grid_report, tmp_path, name, value):
+        report = json.loads(json.dumps(grid_report))
+        report["cells"][0][name] = value
+        assert set(_rerender(report, tmp_path)) <= {EXIT_OK, EXIT_DATA}
 
 
 def _mini_cfg(tmp_path):

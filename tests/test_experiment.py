@@ -20,6 +20,7 @@ from vowelkit.experiment import (
     report_to_markdown,
     selection_for,
 )
+import vowelkit.experiment as experiment
 import vowelkit.multiclass as multiclass
 from vowelkit.frame_select import MiddleFrames
 from vowelkit.kernels import Rbf, Sigmoid, make_kernel
@@ -230,6 +231,26 @@ class TestGridSearch:
         assert len(errors) == 1 and len(ok) == 1
         assert ok[0].frame_acc > 0.0
 
+    @pytest.mark.parametrize("stage", ["build_dataset", "train_ovo_many", "evaluate"])
+    def test_a_failed_stage_fails_only_the_cells_that_share_it(self, small_corpus, monkeypatch,
+                                                                stage):
+        original, calls = getattr(experiment, stage), []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(stage)
+            if len(calls) == 2:
+                raise InvalidInput(f"{stage} failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, stage, second_call_fails)
+        report = grid_search(small_grid_config(small_corpus, c_values=(10.0, 100.0),
+                                               k_values=(3, 5)))
+        # groups run in sorted order, K=3 first; evaluate runs once per cell
+        failed = {(3, 100.0)} if stage == "evaluate" else {(5, 10.0), (5, 100.0)}
+        assert {(c.K, c.C) for c in report.cells if c.error} == failed
+        assert {c.error for c in report.cells if c.error} == {f"{stage} failed"}
+        assert all(c.phoneme_acc > 0.0 for c in report.cells if not c.error)
+
     def test_saves_first_best_cell_in_sorted_order(self, small_corpus, tmp_path):
         config = small_grid_config(small_corpus, kernels=("rbf", "polynomial"),
                                    c_values=(100.0, 10.0), sigmas=(0.5, 0.027, -1.0))
@@ -274,7 +295,7 @@ class TestGridSearch:
                 frame_acc=metrics["frame_accuracy"], phoneme_acc=metrics["phoneme_accuracy"],
                 n_train=train.n_tokens, n_test=test.n_tokens,
                 skipped=train.skipped + test.skipped,
-                converged_pairs=f"{n_pairs - len(model.diagnostics['not_converged'])}/{n_pairs}",
+                converged_pairs=f"{n_pairs - len(model.not_converged)}/{n_pairs}",
                 confusion=metrics["confusion"].tolist(),
             ))
             if best_score is None or (cells[-1].phoneme_acc, cells[-1].frame_acc) > best_score:
@@ -322,6 +343,9 @@ class TestReports:
         assert rows[0]["phoneme_acc"] == report.cells[0].phoneme_acc
         assert rows[0]["sigma"] == 0.027
         assert rows[0]["n_test"] == 40
+        # every GridCell field but confusion is a column, in field order, read back as its type
+        cell = {k: v for k, v in vars(report.cells[0]).items() if k != "confusion"}
+        assert list(rows[0]) == list(cell) and rows[0] == cell
 
     def test_markdown_pivot_shape(self, small_corpus):
         config = small_grid_config(
@@ -336,6 +360,17 @@ class TestReports:
         header = lines[0]
         for col in ("K=3 fcm", "K=3 middle", "K=5 fcm", "K=5 middle"):
             assert col in header
+
+    def test_markdown_lists_failed_cells(self):
+        report = self.one_cell_report()
+        assert "Failed cells" not in report_to_markdown(report)
+        report.cells.append(GridCell(kernel="rbf", feature="plp36", C=10.0, sigma=0.027, K=3,
+                                     method="middle", error="order too high"))
+        lines = report_to_markdown(report).splitlines()
+        section = lines.index("## Failed cells")
+        assert lines[section + 2] == "- ('rbf', 'plp36', 10.0, 0.027, 3, 'middle'): order too high"
+        # the failed cell stays out of the pivots
+        assert not any("plp36" in line for line in lines[:section])
 
     def test_json_round_trip(self):
         report = self.one_cell_report()

@@ -10,7 +10,6 @@ from vowelkit.frame_select import (
     MiddleFrames,
     _fcm_lockstep,
     fcm_cluster,
-    fcm_select,
     select_frames,
     select_frames_many,
     select_middle,
@@ -163,11 +162,11 @@ def _objective_trace(feats, c, seed):
 class TestFcmSelect:
     def test_single_frame(self):
         feats = np.array([[1.0, 2.0]])
-        assert np.array_equal(fcm_select(feats, 5), feats)
+        assert np.array_equal(select_frames(feats, Fcm(5)), feats)
 
     def test_two_frames(self):
         feats = np.array([[0.0], [1.0]])
-        out = fcm_select(feats, 2, seed=0)
+        out = select_frames(feats, Fcm(2, seed=0))
         assert np.array_equal(out, feats)
 
     def test_three_tight_groups(self):
@@ -178,7 +177,7 @@ class TestFcmSelect:
             np.array([-5.0, 5.0]) + rng.normal(0, 0.01, size=(2, 2)),
         ]
         feats = np.vstack(groups)
-        out = fcm_select(feats, 3, seed=1)
+        out = select_frames(feats, Fcm(3, seed=1))
         assert out.shape[0] == 3
         # one selected frame per group: nearest group centroid is distinct
         centroids = np.array([g.mean(axis=0) for g in groups])
@@ -187,7 +186,7 @@ class TestFcmSelect:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
-            fcm_select(np.zeros((0, 2)), 3)
+            select_frames(np.zeros((0, 2)), Fcm(3))
 
 
 class TestSelectFrames:
@@ -329,7 +328,7 @@ class TestFcmLockstep:
             assert np.all(np.isfinite(state.centers)) and np.all(np.isfinite(state.membership))
             assert np.isfinite(state.objective) and state.n_iter < 300
             _assert_state_equal(state, _one_token_fcm(t, 4, seed=0))
-        assert np.array_equal(fcm_select(x, 4), x[[0, 1, 3]])
+        assert np.array_equal(select_frames(x, Fcm(4)), x[[0, 1, 3]])
         assert np.array_equal(fcm_cluster(x, 4).centers, states[0].centers)
 
     def test_peak_memory_grows_with_the_input(self):
@@ -370,10 +369,10 @@ class TestFcmParameters:
         with pytest.raises(InvalidInput):
             fcm_cluster(feats, 2, **kw)
         with pytest.raises(InvalidInput):
-            fcm_select(feats, 3, **kw)
+            select_frames(feats, Fcm(3, **kw))
 
     def test_one_iteration_is_written(self):
         feats = np.random.default_rng(1).normal(size=(6, 2))
         state = fcm_cluster(feats, 2, max_iter=1)
         assert state.n_iter == 1 and state.membership.shape == (6, 2)
-        assert fcm_select(feats, 2, max_iter=1).shape[0] >= 1
+        assert select_frames(feats, Fcm(2, max_iter=1)).shape[0] >= 1

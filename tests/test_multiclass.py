@@ -90,7 +90,7 @@ class TestTrainOvo:
         for n, (many, params) in enumerate(zip(models, params_list)):
             one = train_ovo(data, params, fingerprint="f")
             assert many.pair_index == one.pair_index
-            assert many.diagnostics == one.diagnostics
+            assert many.not_converged == one.not_converged
             save_model(many, tmp_path / f"many{n}.svmodel")
             save_model(one, tmp_path / f"one{n}.svmodel")
             assert ((tmp_path / f"many{n}.svmodel").read_bytes()
@@ -385,6 +385,19 @@ def _drop_scaler_and_shorten_first_sv(lines):
     return lines[:k] + [lines[k].rsplit(" ", 1)[0]] + lines[k + 1:]
 
 
+def _first_pair_only(lines):
+    """Cut the model to its first pair block and count one pair."""
+    second = [n for n, line in enumerate(lines) if line.startswith("pair ")][1]
+    return [("pairs 1" if line.startswith("pairs ") else line)
+            for line in lines[:second] + lines[-1:]]
+
+
+def _labels(edit):
+    """Replace the label names by edit(names)."""
+    return lambda lines: [("labels " + " ".join(edit(line.split()[1:]))
+                           if line.startswith("labels ") else line) for line in lines]
+
+
 # name -> edit of a saved model's lines that load_model must reject with FormatError
 MALFORMED = {
     "version": _field("vowelkit-svmodel", 1, "one"),
@@ -399,6 +412,11 @@ MALFORMED = {
     "pair bias": _field("pair ", 3, "bias=abc"),
     "non-finite pair C": _field("pair ", 4, "C=nan"),
     "pair class id": _field("pair ", 2, "99"),
+    "missing pair": _first_pair_only,
+    "repeated pair": _field("pair ", 2, "2"),
+    "unsorted labels": _labels(lambda names: names[::-1]),
+    "duplicate label": _labels(lambda names: names[:1] + names[:-1]),
+    "one label": _labels(lambda names: names[:1]),
     "sv alpha": _field("sv ", 1, "abc"),
     "non-finite sv alpha": _field("sv ", 1, "inf"),
     "sv label": _field("sv ", 2, "+2"),

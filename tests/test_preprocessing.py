@@ -50,6 +50,13 @@ def test_dimension_mismatch():
         apply_scaler(params, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 1, 2), ()])
+def test_only_a_matrix_is_scaled(shape):
+    params = fit_scaler(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(InvalidInput):
+        apply_scaler(params, np.zeros(shape))
+
+
 def test_training_data_covers_unit_interval():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -358,6 +360,19 @@ class TestLockstep:
 
     def test_no_problems(self):
         assert smo_train_many([], SvmParams(C=1.0, kernel=Linear())) == []
+
+    @pytest.mark.parametrize("c_values", [(10.0,), (1.0, 10.0)], ids=["alone", "C twins"])
+    def test_one_block_batch_holds_its_gram_once(self, c_values):
+        problem = random_problems(41, [800])[0]
+        params = [SvmParams(C=c, kernel=Rbf(0.5), max_iter=200) for c in c_values]
+        tracemalloc.start()
+        try:
+            smo_train_many([problem] * len(params), params)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # building an RBF Gram takes three (l, l) arrays; the block is not copied on top
+        assert peak < 3.5 * 800 * 800 * 8
 
     def test_params_per_problem_with_shared_problems(self):
         problems = random_problems(21, [7, 40, 2, 23], noise=1.0)
