@@ -2,7 +2,6 @@
 
 import argparse
 import configparser
-import itertools
 import json
 import math
 import os
@@ -14,6 +13,7 @@ from .errors import FormatError, InvalidInput, TooShort
 from .experiment import (
     FEATURE_KINDS,
     METHOD_NAMES,
+    REPORT_FILES,
     ExperimentConfig,
     RunReport,
     build_dataset,
@@ -24,6 +24,7 @@ from .experiment import (
     extract_token_features,
     frontend_for,
     grid_search,
+    plan_grid,
     select_tokens,
     selection_for,
     vote_tokens,
@@ -71,28 +72,20 @@ def _finite(text: str) -> float:
 def _load_config_file(path) -> dict:
     """Grid settings from an INI file; an unreadable or malformed file is a usage error.
 
-    So is a value the sweep would reject, found before any token is extracted.
+    So is a file whose plan_grid has a failed cell, found before any token is extracted.
     """
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise UsageError(f"cannot read config file {path}")
         values = _config_values(parser)
-        _check_settings(ExperimentConfig(**{"corpus_root": None, **values}))
+        cells, _groups = plan_grid(ExperimentConfig(**{"corpus_root": None, **values}))
+        failed = [cell.error for cell in cells if cell.error]
+        if failed:
+            raise InvalidInput(failed[0])
         return values
     except (configparser.Error, ValueError, InvalidInput) as exc:  # incl. UnicodeDecodeError
         raise UsageError(f"malformed config file {path}: {exc}") from exc
-
-
-def _check_settings(config: ExperimentConfig) -> None:
-    """Build each frontend, selection and SvmParams of the sweep; InvalidInput if one fails."""
-    for feature in config.features:
-        frontend_for(feature, config.frontend)
-    for method, k in itertools.product(config.methods, config.k_values):
-        selection_for(method, k, seed=config.seed)
-    for kind, sigma, c in itertools.product(config.kernels, config.sigmas, config.c_values):
-        SvmParams(C=c, kernel=make_kernel(kind, sigma), kkt_tol=config.kkt_tol,
-                  max_iter=config.max_iter)
 
 
 # (section, key) -> ExperimentConfig field and value parser; lists split on commas and spaces
@@ -263,9 +256,8 @@ def _cmd_grid(args):
     os.makedirs(args.out, exist_ok=True)
     save_best = os.path.join(args.out, "best.svmodel") if args.save_best else None
     report = grid_search(config, save_best=save_best)
-    emit_report(report, "csv", os.path.join(args.out, "report.csv"))
-    emit_report(report, "markdown", os.path.join(args.out, "report.md"))
-    emit_report(report, "json", os.path.join(args.out, "report.json"))
+    for fmt in REPORT_FILES:
+        emit_report(report, fmt, args.out)
     _echo_config(report.config_echo)
     failed = [c for c in report.cells if c.error]
     print(f"{len(report.cells)} cells ({len(failed)} failed) -> {args.out}")
@@ -281,9 +273,7 @@ def _cmd_report(args):
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot parse report {args.infile}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
-    ext = "md" if args.format == "markdown" else "csv"
-    out_path = os.path.join(args.out, f"report.{ext}")
-    emit_report(report, args.format, out_path)
+    out_path = emit_report(report, args.format, args.out)
     print(f"re-rendered {args.infile} -> {out_path}")
     return EXIT_OK
 

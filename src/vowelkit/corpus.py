@@ -55,12 +55,8 @@ def _load_sphere(path) -> RawSignal:
     with open(path, "rb") as fh:
         header = fh.read(SPHERE_HEADER_SIZE)
         data = fh.read()
-    try:
-        text = header.decode("ascii", errors="replace")
-    except Exception as exc:  # pragma: no cover - decode with replace cannot fail
-        raise FormatError(f"{path}: undecodable SPHERE header") from exc
     fields = {}
-    for line in text.splitlines():
+    for line in header.decode("ascii", errors="replace").splitlines():
         parts = line.split()
         if len(parts) == 3 and parts[1].startswith("-"):
             fields[parts[0]] = parts[2]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,9 +142,9 @@ def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                   token_feats=None, scaler: Optional[ScalerParams] = None):
     """Extract, select and scale; returns (train, test, scaler).
 
-    A given fitted scaler is applied to both splits, which may then hold no
-    training rows.  Otherwise the scaler is fit on training rows only.
-    Tokens too short for a single frame are skipped and counted.
+    A given fitted scaler is applied to both splits.  Otherwise a scaler is
+    fit on the training rows, if there are any; with no scaler, no split is
+    scaled.  Tokens too short for a single frame are skipped and counted.
     """
     if not tokens:
         raise InvalidInput("no tokens to build a dataset from")
@@ -155,12 +156,10 @@ def build_dataset(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
 
     train, test = (_assemble(token_feats, selection, label_names, split, frontend.dim,
                              fingerprint) for split in ("train", "test"))
-    if scaler is None:
-        if train.X.size == 0:
-            raise InvalidInput("no usable training tokens (all missing or too short)")
+    if scaler is None and train.X.size:
         scaler = fit_scaler(train.X)
     for data in (train, test):
-        if data.X.size:
+        if scaler is not None and data.X.size:
             data.X = apply_scaler(scaler, data.X)
     return train, test, scaler
 
@@ -286,54 +285,64 @@ def _evaluate_cell(cell: GridCell, model: OvOModel, train: FrameDataset, test: F
     cell.skipped = train.skipped + test.skipped
 
 
-def grid_search(config: ExperimentConfig, tokens: Optional[Sequence[PhonemeToken]] = None,
-                save_best: Optional[str] = None) -> RunReport:
-    """Cartesian sweep over the configured grid; one GridCell per setting.
+def plan_grid(config: ExperimentConfig) -> Tuple[List[GridCell], list]:
+    """(cells, groups): the sweep's cells in sorted order and the groups that run them.
 
-    The groups of cells that share a dataset (feature, K, method) run in
-    sorted order.  A feature kind's tokens are extracted when its first group
-    comes up, and each group's dataset is built just before it is trained,
-    so a sweep holds one feature's tokens and one dataset at a time.  A
-    group's cells are trained in one train_ovo_many call, and each records
-    an equal share of its seconds as train_s.  A VowelkitError fails exactly
-    the cells that share what raised it: one cell's kernel setting or
-    evaluation, or one group's front end, selection, tokens, dataset or
-    training.  A failed cell records its error; the sweep goes on.
+    Each cell's SvmParams, front end and selection are built in one try; a
+    VowelkitError records its error on the cell, which then joins no group.
+    A group is (frontend, selection, [(n, cell, params)]) for the cells of one
+    (feature, K, method); the groups come in sorted order.
     """
-    if tokens is None:
-        tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
-    if not tokens:
-        raise InvalidInput(f"no usable tokens under {config.corpus_root}")
-    label_names = sorted(set(config.phonemes) & {t.label for t in tokens})
-
-    cells = sorted(
-        (GridCell(kernel=kern, feature=feat, C=c, sigma=sigma, K=k, method=method)
-         for kern, feat, c, sigma, k, method in itertools.product(
-             config.kernels, config.features, config.c_values,
-             config.sigmas, config.k_values, config.methods,
-         )),
-        key=lambda c: c.coords,
-    )
-    groups: Dict[tuple, List[Tuple[int, GridCell, SvmParams]]] = {}
+    cells = sorted((GridCell(*coords) for coords in itertools.product(
+        config.kernels, config.features, config.c_values,
+        config.sigmas, config.k_values, config.methods,
+    )), key=lambda c: c.coords)
+    groups: Dict[tuple, tuple] = {}
     for n, cell in enumerate(cells):
         try:
             params = SvmParams(C=cell.C, kernel=make_kernel(cell.kernel, cell.sigma),
                                kkt_tol=config.kkt_tol, max_iter=config.max_iter)
+            frontend = frontend_for(cell.feature, config.frontend)
+            selection = selection_for(cell.method, cell.K, seed=config.seed)
         except VowelkitError as exc:
             cell.error = str(exc)
             continue
-        groups.setdefault((cell.feature, cell.K, cell.method), []).append((n, cell, params))
+        key = (cell.feature, cell.K, cell.method)
+        groups.setdefault(key, (frontend, selection, []))[2].append((n, cell, params))
+    return cells, [groups[key] for key in sorted(groups)]
+
+
+def grid_search(config: ExperimentConfig, save_best: Optional[str] = None) -> RunReport:
+    """Run plan_grid's groups in order; one GridCell per setting.
+
+    A feature's tokens are extracted once, when its first group comes up, and
+    each group's dataset is built just before it is trained, so a sweep holds
+    one feature's tokens and one dataset at a time.  A group's cells are
+    trained in one train_ovo_many call, and each records an equal share of its
+    seconds as train_s.  A VowelkitError fails, and records its error on,
+    exactly the cells that share what raised it: one cell's settings or
+    evaluation, one feature's tokens, or one group's dataset or training.
+    """
+    tokens = load_corpus_tokens(config.corpus_root, whitelist=config.phonemes)
+    if not tokens:
+        raise InvalidInput(f"no usable tokens under {config.corpus_root}")
+    label_names = sorted(set(config.phonemes) & {t.label for t in tokens})
+
+    cells, groups = plan_grid(config)
     best_model, best_rank = None, None
-    token_feature, token_feats = None, None
-    for (feature, k, method), group in sorted(groups.items()):
+    token_frontend, token_feats = None, None  # token_feats: the features or the error raised
+    for frontend, selection, group in groups:
+        if frontend != token_frontend:
+            token_frontend, token_feats = frontend, None
+            try:
+                token_feats = extract_token_features(tokens, frontend)
+            except VowelkitError as exc:
+                token_feats = exc
         try:
-            frontend = frontend_for(feature, config.frontend)
-            if feature != token_feature:
-                token_feature, token_feats = feature, extract_token_features(tokens, frontend)
-            train, test, scaler = build_dataset(
-                tokens, frontend, selection_for(method, k, seed=config.seed),
-                label_names=label_names, token_feats=token_feats,
-            )
+            if isinstance(token_feats, VowelkitError):
+                raise token_feats
+            train, test, scaler = build_dataset(tokens, frontend, selection,
+                                                label_names=label_names, token_feats=token_feats)
             t0 = time.perf_counter()
             models = train_ovo_many(train.as_labeled(), [params for _n, _c, params in group],
                                     fingerprint=train.fingerprint, scaler=scaler)
@@ -432,14 +441,18 @@ def report_to_markdown(report: RunReport) -> str:
     return "\n".join(parts)
 
 
-def emit_report(report: RunReport, fmt: str, path) -> None:
-    if fmt == "csv":
-        text = report_to_csv(report)
-    elif fmt == "markdown":
-        text = report_to_markdown(report)
-    elif fmt == "json":
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    else:
-        raise InvalidInput(f"unknown report format {fmt!r}")
+# report format -> (its file name in an output directory, renderer)
+REPORT_FILES = {
+    "csv": ("report.csv", report_to_csv),
+    "markdown": ("report.md", report_to_markdown),
+    "json": ("report.json", lambda report: json.dumps(report.to_dict(), indent=2, sort_keys=True)),
+}
+
+
+def emit_report(report: RunReport, fmt: str, out_dir) -> str:
+    """Write the report in one REPORT_FILES format into out_dir; returns the file's path."""
+    name, render = REPORT_FILES[fmt]
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(render(report))
+    return path

@@ -70,10 +70,11 @@ def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
     k = len(data.label_names)
     pairs = list(itertools.combinations(range(k), 2))
     counts = np.bincount(data.labels, minlength=k)
+    missing = [name for name, count in zip(data.label_names, counts) if not count]
+    if missing:
+        raise InvalidInput(f"no training frames for class(es) {' '.join(missing)}")
     problems = []
     for i, j in pairs:
-        if not (counts[i] and counts[j]):
-            raise InvalidInput(f"classes {i} and {j} lack training samples")
         mask = (data.labels == i) | (data.labels == j)
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
         problems.append(BinaryProblem(data.X[mask], y))

@@ -1,12 +1,14 @@
 """What the benchmark in perfbench/ needs from the program, checked without running it.
 
-The benchmark wraps program functions by name, imports others and reads model
-files with its own parser.  A name that leaves the program, or a model file
-that parser cannot read, passes every other test and fails only the benchmark
-run.  These tests read perfbench/ and never change it.
+The benchmark wraps program functions by name, imports others, reads model
+files with its own parser and runs a CLI session of its own flags and grid
+config.  A name that leaves the program, a model file that parser cannot read,
+or a flag or config key the CLI drops, passes every other test and fails only
+the benchmark run.  These tests read perfbench/ and never change it.
 """
 
 import ast
+import configparser
 import importlib
 import importlib.util
 import os
@@ -15,13 +17,15 @@ import numpy as np
 import pytest
 
 from test_multiclass import blob_dataset
+from vowelkit import cli
+from vowelkit.experiment import ExperimentConfig, plan_grid
 from vowelkit.kernels import Polynomial, Rbf
 from vowelkit.multiclass import save_model, train_ovo
 from vowelkit.preprocessing import fit_scaler
 from vowelkit.svm import SvmParams
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(REPO, "perfbench")
 
 
 def _perfbench_module(name):
@@ -76,3 +80,27 @@ def test_saved_model_parses_with_the_benchmark_reader(tmp_path, kernel):
             == [b.support_vectors.shape for b in model.binaries])
     assert all(np.array_equal(pair["alpha"], b.sv_alphas)
                for pair, b in zip(parsed["pairs"], model.binaries))
+
+
+@pytest.mark.parametrize("workload", _perfbench_module("workloads").WORKLOADS)
+def test_benchmark_session_parses_and_plans(tmp_path, workload):
+    plan = _perfbench_module("workloads").build(REPO, workload, 1, str(tmp_path))
+    parser = cli.build_parser()
+    grid_steps = []
+    for step in plan["steps"]:
+        args = parser.parse_args(step["argv"])
+        assert args.command == step["cmd"]
+        if args.command == "grid":
+            assert "--workers" in step["argv"] and args.workers >= 1
+            grid_steps.append(args)
+        else:
+            cli._parse_frames(args.frames)
+    assert len(grid_steps) == 1
+    written = configparser.ConfigParser()
+    written.read(grid_steps[0].config)
+    assert [(section, key) for section in written.sections() for key in written[section]
+            if (section, key) not in cli._CONFIG_KEYS] == []
+    values = cli._load_config_file(grid_steps[0].config)
+    cells, groups = plan_grid(ExperimentConfig(**dict(values, corpus_root=plan["corpus"])))
+    assert [c.error for c in cells if c.error] == []
+    assert sum(len(group) for _frontend, _selection, group in groups) == len(cells)

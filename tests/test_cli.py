@@ -12,23 +12,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SYNTH_FORMANTS, make_corpus, synth_token, write_wav
-from test_corpus import FUZZ
+from test_corpus import FUZZ, sphere_bytes
 from test_multiclass import MALFORMED, write_malformed
 from vowelkit import cli, experiment, frontend
 from vowelkit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, UsageError, run_cli
+from vowelkit.corpus import load_corpus_tokens
 from vowelkit.errors import DegenerateSpectrum, TooShort, VowelkitError
 from vowelkit.experiment import (
     ExperimentConfig,
     GridCell,
+    extract_token_features,
     frontend_for,
     grid_search,
     parse_report_csv,
+    select_tokens,
     selection_for,
+    vote_tokens,
 )
 from vowelkit.frame_select import select_frames
 from vowelkit.frontend import FrontendConfig
 from vowelkit.kernels import make_kernel
-from vowelkit.multiclass import load_model, predict_phoneme
+from vowelkit.multiclass import load_model, predict_phoneme, save_model
 from vowelkit.preprocessing import apply_scaler
 from vowelkit.svm import SvmParams
 
@@ -282,6 +286,24 @@ class TestEvaluate:
 
         assert accuracies(cut) == accuracies(full)
 
+    def test_model_without_scaler_is_applied_unscaled(self, trained_model, small_corpus,
+                                                      tmp_path, capsys):
+        model = load_model(trained_model)
+        model.scaler = None
+        save_model(model, tmp_path / "unscaled.svmodel")
+        assert "scaler none" in (tmp_path / "unscaled.svmodel").read_text().splitlines()
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--model", str(tmp_path / "unscaled.svmodel"),
+                        "--corpus", str(small_corpus)]) == EXIT_OK
+        tokens = load_corpus_tokens(small_corpus, splits=("test",))
+        frontend = frontend_for("mfcc36")
+        kept, x, spans = select_tokens(extract_token_features(tokens, frontend),
+                                       selection_for("middle", 3), frontend.dim)
+        _frames, votes = vote_tokens(model, x, spans)
+        labels = np.array([model.label_names.index(t.label) for t in kept])
+        expected = 100.0 * np.mean(votes == labels)
+        assert f"phoneme_accuracy: {expected:.2f}" in capsys.readouterr().out.splitlines()
+
     def test_needs_no_train_split(self, trained_model, small_corpus, tmp_path):
         shutil.copytree(os.path.join(small_corpus, "test"), tmp_path / "test")
         code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path)])
@@ -356,6 +378,17 @@ class TestGridAndReport:
         assert (out / "report.json").exists()
         assert (out / "best.svmodel").exists()
         assert "# seed = 1" in capsys.readouterr().out
+
+    def test_seed_flag_overrides_the_config_file(self, small_corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nseed = 1\nphonemes = aa iy uw\n"
+                       "[grid]\nkernels = rbf\nfeatures = mfcc36\nc = 10\nsigma = 0.5\n"
+                       "methods = fcm\n")
+        assert run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(tmp_path / "out"), "--seed", "5"]) == EXIT_OK
+        assert "# seed = 5" in capsys.readouterr().out.splitlines()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["seed"] == 5 and report["config"]["seed"] == 5
 
     def test_report_rerender(self, small_corpus, tmp_path):
         out = tmp_path / "results"
@@ -532,6 +565,16 @@ class TestMalformedConfig:
         assert code == EXIT_USAGE
         assert "malformed config file" in capsys.readouterr().err
 
+    def test_names_the_first_failed_cell(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        # in sorted order the first cell has sigma -1 and method fcmx: its kernel error wins
+        cfg.write_text("[grid]\nkernels = rbf\nsigma = 0.5 -1\nmethods = middle fcmx\n")
+        with pytest.raises(UsageError, match="malformed config file .*RBF sigma must be > 0"):
+            cli._load_config_file(str(cfg))
+        cfg.write_text("[grid]\nkernels = rbf\nsigma = 0.5\nmethods = middle fcmx\n")
+        with pytest.raises(UsageError, match="malformed config file .*'fcmx'"):
+            cli._load_config_file(str(cfg))
+
     def test_unreadable_file(self, tmp_path):
         code = run_cli(["grid", "--config", str(tmp_path / "missing.cfg"),
                         "--out", str(tmp_path / "out")])
@@ -612,6 +655,28 @@ class TestOutsideFileErrors:
         code = run_cli(["predict", "--model", str(trained_model), "--audio", str(audio),
                         "--phn", str(phn)])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("name, message", [
+        ("8-bit.wav", "only 16-bit PCM"), ("junk.wav", "not a WAVE file"),
+        ("8-bit.sph", "only 16-bit SPHERE")])
+    def test_unsupported_audio_exits_2(self, trained_model, tmp_path, capsys, name, message):
+        audio = tmp_path / name
+        if name == "8-bit.wav":
+            with wave.open(str(audio), "wb") as wf:
+                wf.setnchannels(1)
+                wf.setsampwidth(1)
+                wf.setframerate(16000)
+                wf.writeframes(bytes(2048))
+        elif name == "junk.wav":
+            audio.write_bytes(b"RIFFjunk")
+        else:
+            audio.write_bytes(sphere_bytes(np.zeros(2048)).replace(b"sample_n_bytes -i 2",
+                                                                    b"sample_n_bytes -i 1"))
+        phn = tmp_path / "u.phn"
+        phn.write_text("0 1024 aa\n")
+        assert run_cli(["predict", "--model", str(trained_model), "--audio", str(audio),
+                        "--phn", str(phn)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_phn_not_utf8_exits_2(self, trained_model, utterance, tmp_path):
         wav, _phn, _spans = utterance

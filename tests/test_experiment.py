@@ -1,9 +1,11 @@
 import itertools
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from conftest import write_wav
+from conftest import SYNTH_FORMANTS, make_corpus, write_wav
 from vowelkit.corpus import PhonemeToken, load_corpus_tokens
 from vowelkit.errors import InvalidInput
 from vowelkit.experiment import (
@@ -16,6 +18,7 @@ from vowelkit.experiment import (
     frontend_for,
     grid_search,
     parse_report_csv,
+    plan_grid,
     report_to_csv,
     report_to_markdown,
     selection_for,
@@ -120,6 +123,12 @@ class TestBuildDataset:
         with pytest.raises(InvalidInput, match="eh"):
             build_dataset(tokens, frontend_for("mfcc36"), MiddleFrames(3),
                           label_names=["aa", "iy"])
+
+    def test_span_past_the_signal_rejected(self, tmp_path):
+        (token,) = make_token_dir(tmp_path, [("a", "aa", 1024, "train")])
+        past = PhonemeToken("aa", 512, 1025, "a", "train", token.audio_path)
+        with pytest.raises(InvalidInput, match=r"span \[512, 1025\) exceeds signal of 1024"):
+            extract_token_features([past], frontend_for("mfcc36"))
 
 
 class TestEvaluate:
@@ -312,6 +321,35 @@ class TestGridSearch:
         save_model(best, str(tmp_path / "reference.svmodel"))
         assert saved.read_bytes() == (tmp_path / "reference.svmodel").read_bytes()
 
+    def test_failed_extraction_runs_once_per_feature(self, small_corpus, tmp_path,
+                                                     monkeypatch):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        (corpus / "train" / "iy" / "utt000.wav").write_bytes(b"RIFFjunk")
+        original, calls = experiment.extract_token_features, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "extract_token_features", counted)
+        report = grid_search(small_grid_config(corpus, k_values=(3, 5, 7),
+                                               methods=("middle", "fcm")))
+        assert len(calls) == 1
+        assert len(report.cells) == 6
+        assert len({c.error for c in report.cells}) == 1
+        assert "utt000.wav" in report.cells[0].error
+
+    def test_test_only_vowel_is_named_in_every_cell(self, tmp_path):
+        formants = {k: SYNTH_FORMANTS[k] for k in ("aa", "eh", "iy", "uw")}
+        corpus = make_corpus(tmp_path / "corpus", formants=formants, tokens_per_class=8,
+                             noise=0.1, jitter=0.05, seed=4)
+        shutil.rmtree(os.path.join(corpus, "train", "eh"))
+        report = grid_search(small_grid_config(corpus, phonemes=tuple(sorted(formants)),
+                                               c_values=(10.0, 100.0), k_values=(3, 5)))
+        assert len(report.cells) == 4
+        assert {c.error for c in report.cells} == {"no training frames for class(es) eh"}
+
     def test_config_echo_includes_seed(self, small_corpus):
         report = grid_search(small_grid_config(small_corpus, seed=42))
         assert report.config_echo["seed"] == 42
@@ -320,6 +358,27 @@ class TestGridSearch:
     def test_empty_grid_list_rejected(self, small_corpus):
         with pytest.raises(InvalidInput):
             small_grid_config(small_corpus, kernels=())
+
+
+class TestPlanGrid:
+    def test_groups_hold_the_cells_whose_settings_build(self):
+        config = ExperimentConfig(corpus_root=None, kernels=("rbf",), features=("mfcc36",),
+                                  c_values=(10.0,), sigmas=(0.5, -1.0), k_values=(3, 5),
+                                  methods=("middle", "fcmx"))
+        cells, groups = plan_grid(config)
+        assert [c.coords for c in cells] == sorted(c.coords for c in cells)
+        errors = {(c.sigma, c.K, c.method): c.error for c in cells}
+        # a kernel error is recorded before the cell's selection error
+        assert all("sigma" in errors[(-1.0, k, m)] for k in (3, 5) for m in ("middle", "fcmx"))
+        assert all("fcmx" in errors[(0.5, k, "fcmx")] for k in (3, 5))
+        assert [(selection, [(n, cell.coords) for n, cell, _params in group])
+                for _frontend, selection, group in groups] == [
+            (MiddleFrames(3), [(5, ("rbf", "mfcc36", 10.0, 0.5, 3, "middle"))]),
+            (MiddleFrames(5), [(7, ("rbf", "mfcc36", 10.0, 0.5, 5, "middle"))]),
+        ]
+        assert all(frontend == frontend_for("mfcc36") for frontend, _s, _g in groups)
+        assert all(params.C == 10.0 and params.kernel == Rbf(0.5)
+                   for _f, _s, group in groups for _n, _c, params in group)
 
 
 class TestReports:
@@ -360,6 +419,15 @@ class TestReports:
         header = lines[0]
         for col in ("K=3 fcm", "K=3 middle", "K=5 fcm", "K=5 middle"):
             assert col in header
+
+    def test_markdown_pivot_marks_a_missing_cell(self):
+        report = self.one_cell_report()
+        report.cells.append(GridCell(kernel="polynomial", feature="mfcc36", C=10.0, sigma=2.0,
+                                     K=5, method="middle", phoneme_acc=40.0))
+        lines = report_to_markdown(report).splitlines()
+        assert "| kernel | K=3 middle | K=5 middle |" in lines
+        assert "| polynomial | - | 40.00 |" in lines
+        assert "| rbf | 52.12 | - |" in lines
 
     def test_markdown_lists_failed_cells(self):
         report = self.one_cell_report()

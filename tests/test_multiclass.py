@@ -81,6 +81,13 @@ class TestTrainOvo:
         with pytest.raises(InvalidInput):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), ["a"])
 
+    def test_class_without_frames_is_named(self):
+        data = blob_dataset(4)
+        keep = data.labels != 2
+        with pytest.raises(InvalidInput, match=r"^no training frames for class\(es\) c02$"):
+            train_ovo(LabeledDataset(data.X[keep], data.labels[keep], data.label_names),
+                      SvmParams(C=10.0, kernel=Linear()))
+
     def test_many_params_equal_one_train_ovo_each(self, tmp_path):
         data = blob_dataset(4, per_class=7, seed=5, spread=3.0)
         params_list = [SvmParams(C=c, kernel=kernel) for kernel in (Rbf(0.5), Linear())
@@ -425,12 +432,14 @@ MALFORMED = {
     "sv dimension within the model": _drop_scaler_and_shorten_first_sv,
     "sv dimension against the scaler": lambda lines: [
         line.rsplit(" ", 1)[0] if line.startswith("sv ") else line for line in lines],
+    "no end marker": lambda lines: lines[:-1] + ["fin"],
+    "not utf-8": _field("labels", 1, "\udce6"),  # written as the single byte 0xe6
 }
 
 
 def write_malformed(source, dest, name):
     lines = MALFORMED[name](source.read_text().splitlines())
-    dest.write_text("\n".join(lines) + "\n")
+    dest.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     return dest
 
 

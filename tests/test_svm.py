@@ -144,6 +144,16 @@ class TestInvariants:
         with pytest.raises(InvalidInput):
             BinaryProblem(np.zeros((3, 2)), np.ones(3))
 
+    @pytest.mark.parametrize("x, y, message", [
+        (np.zeros(4), np.array([-1.0, 1.0, -1.0, 1.0]), "one label per row"),
+        (np.zeros((3, 2)), np.array([-1.0, 1.0]), "one label per row"),
+        (np.zeros((1, 2)), np.array([1.0]), "at least two"),
+        (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.array([-1.0, 1.0]), "finite"),
+    ], ids=["vector X", "label count", "one point", "non-finite X"])
+    def test_malformed_problem_rejected(self, x, y, message):
+        with pytest.raises(InvalidInput, match=message):
+            BinaryProblem(x, y)
+
     def test_sigmoid_training_terminates(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-2, 2, size=(40, 3))
