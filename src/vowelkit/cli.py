@@ -69,16 +69,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, **overrides) -> dict:
     """Grid settings from an INI file; an unreadable or malformed file is a usage error.
 
-    So is a file whose plan_grid has a failed cell, found before any token is extracted.
+    So is a failed plan_grid cell once the overrides are applied, found before any audio is read.
     """
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise UsageError(f"cannot read config file {path}")
-        values = _config_values(parser)
+        values = {**_config_values(parser), **overrides}
         cells, _groups = plan_grid(ExperimentConfig(**{"corpus_root": None, **values}))
         failed = [cell.error for cell in cells if cell.error]
         if failed:
@@ -243,16 +243,16 @@ def _cmd_evaluate(args):
 
 
 def _cmd_grid(args):
-    overrides = {}
-    if args.config:
-        overrides = _load_config_file(args.config)
+    settings = {}
     if args.corpus:
-        overrides["corpus_root"] = args.corpus
+        settings["corpus_root"] = args.corpus
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if not overrides.get("corpus_root"):
+        settings["seed"] = args.seed
+    if args.config:
+        settings = _load_config_file(args.config, **settings)
+    if not settings.get("corpus_root"):
         raise UsageError("grid needs --corpus or a config file with corpus_root")
-    config = ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    config = ExperimentConfig(**settings)
     os.makedirs(args.out, exist_ok=True)
     save_best = os.path.join(args.out, "best.svmodel") if args.save_best else None
     report = grid_search(config, save_best=save_best)

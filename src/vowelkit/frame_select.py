@@ -23,13 +23,15 @@ from .errors import InvalidInput
 ALL_CENTERS_ENTRIES = 1 << 16
 
 
-def _check_fcm(m, tol, max_iter):
+def _check_fcm(m, tol, max_iter, seed):
     if not math.isfinite(m) or m <= 1.0:
         raise InvalidInput("fuzzifier m must be finite and > 1")
     if not math.isfinite(tol) or tol <= 0.0:
         raise InvalidInput("tol must be finite and > 0")
     if max_iter < 1:
         raise InvalidInput("max_iter must be >= 1")
+    if seed < 0:
+        raise InvalidInput(f"fcm seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class Fcm:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInput("K must be >= 1")
-        _check_fcm(self.m, self.tol, self.max_iter)
+        _check_fcm(self.m, self.tol, self.max_iter, self.seed)
 
 
 SelectionMethod = Union[MiddleFrames, Fcm]
@@ -167,7 +169,7 @@ def fcm_cluster(
     n = features.shape[0]
     if not 1 <= c <= n:
         raise InvalidInput(f"need 1 <= c <= N, got c={c}, N={n}")
-    _check_fcm(m, tol, max_iter)
+    _check_fcm(m, tol, max_iter, seed)
     return _fcm_lockstep(features[None], c, m, tol, max_iter, seed)[0]
 
 

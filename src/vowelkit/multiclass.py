@@ -92,34 +92,36 @@ def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
     return models
 
 
-def _model_kernel(model: OvOModel) -> KernelSpec:
-    """The one kernel of all pair classifiers; a model file stores only one."""
+def _support_table(model: OvOModel):
+    """(kernel, U, rows): the pairs' one kernel, distinct support vectors and each pair's rows."""
     kernels = {b.kernel for b in model.binaries}
-    if len(kernels) > 1:
-        raise InvalidInput("the pair classifiers use different kernels")
-    return kernels.pop() if kernels else Linear()
+    dims = {b.support_vectors.shape[1] for b in model.binaries if len(b.support_vectors)}
+    if len(kernels) > 1 or len(dims) > 1:
+        raise InvalidInput("the pair classifiers differ in kernel or support-vector dimension")
+    index = {}  # vec.tobytes() -> its row of U, in order of first use
+    rows = [[index.setdefault(vec.tobytes(), len(index)) for vec in b.support_vectors]
+            for b in model.binaries]
+    U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), dims.pop() if dims else 0)
+    return (kernels.pop() if kernels else Linear()), U, rows
 
 
 def _votes_and_scores(model: OvOModel, X: np.ndarray):
     """Per-row vote counts and |f|-sums per class over all pair classifiers.
 
     All decision values come from one kernel matrix against the distinct
-    support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y.
-    A non-finite decision value is an InvalidInput.
+    support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y summed
+    over the pair's copies of u.  A non-finite decision value is an InvalidInput.
     """
-    kernel = _model_kernel(model)
-    index, rows, cols, vals = {}, [], [], []  # index: vec.tobytes() -> its row of U
-    for p, binary in enumerate(model.binaries):
-        if binary.support_vectors.size and binary.support_vectors.shape[1] != X.shape[1]:
-            raise InvalidInput("feature dimension mismatch")
-        rows += [index.setdefault(vec.tobytes(), len(index)) for vec in binary.support_vectors]
-        cols += [p] * binary.sv_alphas.size
-        vals += list(binary.sv_alphas * binary.sv_labels)
-    U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), X.shape[1])
-    coef = np.zeros((len(index), len(model.binaries)))
-    np.add.at(coef, (rows, cols), vals)  # adds up a vector repeated within one pair
+    kernel, U, rows = _support_table(model)
+    if len(U) and U.shape[1] != X.shape[1]:
+        raise InvalidInput("feature dimension mismatch")
+    coef = np.zeros((len(U), len(rows)))
+    cols = np.repeat(np.arange(len(rows)), [len(pair_rows) for pair_rows in rows])
+    vals = np.concatenate([b.sv_alphas * b.sv_labels for b in model.binaries])
+    np.add.at(coef, (np.fromiter(itertools.chain(*rows), int), cols), vals)
     with np.errstate(all="ignore"):
-        F = gram_matrix(kernel, X, U) @ coef + np.array([b.bias for b in model.binaries])
+        F = (gram_matrix(kernel, X, U.reshape(len(U), X.shape[1])) @ coef
+             + np.array([b.bias for b in model.binaries]))
     if not np.isfinite(F).all():
         raise InvalidInput("non-finite decision values; the model's kernel overflows")
     votes = np.zeros((X.shape[0], model.k), dtype=int)
@@ -203,9 +205,19 @@ def _parse_kernel_line(line: str) -> KernelSpec:
 
 
 def save_model(model: OvOModel, path) -> None:
-    """Versioned text format; floats carry 17 significant digits."""
-    kernel = _model_kernel(model)
-    texts = {}  # vec.tobytes() -> its text, so a vector shared by pairs is formatted once
+    """Versioned text format; floats carry 17 significant digits.
+
+    Numbers or dimensions that load_model would reject raise InvalidInput before any write.
+    """
+    kernel, U, rows = _support_table(model)
+    scaler = () if model.scaler is None else (model.scaler.mins, model.scaler.maxs)
+    numbers = [U.ravel(), *scaler, [x for b in model.binaries for x in (b.bias, b.C)],
+               *(b.sv_alphas for b in model.binaries)]
+    if not np.isfinite(np.concatenate(numbers)).all():
+        raise InvalidInput("the model holds a non-finite number; a model file cannot store it")
+    if scaler and len(U) and U.shape[1] != model.scaler.dim:
+        raise InvalidInput("the support vectors and the scaler differ in dimension")
+    texts = [" ".join(_fmt(v) for v in u) for u in U]  # a vector shared by pairs, formatted once
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write("labels " + " ".join(model.label_names) + "\n")
@@ -217,14 +229,11 @@ def save_model(model: OvOModel, path) -> None:
         else:
             fh.write("scaler none\n")
         fh.write(f"pairs {len(model.pair_index)}\n")
-        for (i, j), binary in zip(model.pair_index, model.binaries):
+        for (i, j), binary, pair_rows in zip(model.pair_index, model.binaries, rows):
             fh.write(f"pair {i} {j} bias={_fmt(binary.bias)} C={_fmt(binary.C)} "
                      f"converged={int(binary.converged)} nsv={binary.sv_alphas.size}\n")
-            for a, yl, vec in zip(binary.sv_alphas, binary.sv_labels, binary.support_vectors):
-                key = vec.tobytes()
-                if key not in texts:
-                    texts[key] = " ".join(_fmt(v) for v in vec)
-                fh.write(f"sv {_fmt(a)} {'+1' if yl > 0 else '-1'} {texts[key]}\n")
+            for a, yl, u in zip(binary.sv_alphas, binary.sv_labels, pair_rows):
+                fh.write(f"sv {_fmt(a)} {'+1' if yl > 0 else '-1'} {texts[u]}\n")
         fh.write("end\n")
 
 

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from test_multiclass import blob_dataset
+from test_multiclass import blob_dataset, shared_sv_model
 from vowelkit import cli
 from vowelkit.experiment import ExperimentConfig, plan_grid
 from vowelkit.kernels import Polynomial, Rbf
@@ -80,6 +80,16 @@ def test_saved_model_parses_with_the_benchmark_reader(tmp_path, kernel):
             == [b.support_vectors.shape for b in model.binaries])
     assert all(np.array_equal(pair["alpha"], b.sv_alphas)
                for pair, b in zip(parsed["pairs"], model.binaries))
+
+
+def test_shared_vectors_parse_with_the_benchmark_reader(tmp_path):
+    model = shared_sv_model(Rbf(0.5))
+    save_model(model, tmp_path / "m.svmodel")
+    parsed = _perfbench_module("checks").parse_svmodel(str(tmp_path / "m.svmodel"))
+    assert len(parsed["pairs"]) == len(model.binaries)
+    for pair, binary in zip(parsed["pairs"], model.binaries):
+        assert np.array_equal(pair["sv"], binary.support_vectors)
+        assert np.array_equal(pair["alpha"], binary.sv_alphas)
 
 
 @pytest.mark.parametrize("workload", _perfbench_module("workloads").WORKLOADS)

@@ -99,6 +99,23 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_fcm_seed_exits_2_without_model(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "m.svmodel"
+        code = run_cli(["train", "--corpus", str(small_corpus), "--out", str(out),
+                        "--frames", "fcm:3", "--seed", "-1"])
+        assert code == EXIT_DATA
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # outside pytest numpy only warns
+    def test_non_finite_model_exits_2_without_model(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "m.svmodel"
+        code = run_cli(["train", "--corpus", str(small_corpus), "--out", str(out),
+                        "--kernel", "polynomial", "--sigma", "1e200"])
+        assert code == EXIT_DATA
+        assert "non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_psd_check_flag(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "m.svmodel"
         code = run_cli([
@@ -390,6 +407,18 @@ class TestGridAndReport:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["seed"] == 5 and report["config"]["seed"] == 5
 
+    def test_negative_seed_flag_is_checked_with_the_config_file(self, small_corpus, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nphonemes = aa iy uw\n"
+                       "[grid]\nkernels = rbf\nfeatures = mfcc36\nc = 10\nsigma = 0.5\n"
+                       "methods = fcm\n")
+        out = tmp_path / "out"
+        assert run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(out), "--seed", "-1"]) == EXIT_USAGE
+        assert "malformed config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_rerender(self, small_corpus, tmp_path):
         out = tmp_path / "results"
         code = run_cli([
@@ -542,6 +571,7 @@ MALFORMED_CONFIGS = {
     "non-finite kkt_tol": b"[svm]\nkkt_tol = nan\n",
     "max_iter": b"[svm]\nmax_iter = 1e3\n",
     "negative max_iter": b"[svm]\nmax_iter = -5\n",
+    "negative fcm seed": b"[experiment]\nseed = -1\n[grid]\nmethods = fcm\n",
     "unknown method": b"[grid]\nmethods = middle fcmx\n",
     "zero k": b"[grid]\nk = 0\n",
     "unknown feature": b"[grid]\nfeatures = mfcc99\n",

@@ -360,7 +360,7 @@ class TestFcmParameters:
     @pytest.mark.parametrize("kw", [
         {"m": float("nan")}, {"m": float("inf")}, {"m": 1.0},
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
-        {"max_iter": 0}, {"max_iter": -1},
+        {"max_iter": 0}, {"max_iter": -1}, {"seed": -1},
     ])
     def test_rejected_everywhere(self, kw):
         feats = np.random.default_rng(0).normal(size=(6, 2))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
 from vowelkit.multiclass import (
     LabeledDataset,
     OvOModel,
+    _support_table,
     _votes_and_scores,
     load_model,
     predict_ovo_batch,
@@ -311,6 +313,32 @@ def shared_sv_model(kernel, k=5, seed=20):
 KERNELS = [Polynomial(0.05, 1.0, 3), Rbf(0.5), Sigmoid(0.05, -1.0), Linear()]
 
 
+def _with_nan(values, n=0):
+    values = np.array(values, dtype=float)
+    values.flat[n] = np.nan
+    return values
+
+
+def _edit_pair(edit):
+    return lambda model: with_binary(model, 1, edit(model.binaries[1]))
+
+
+# edits of a 3-class model with a 2-D scaler that load_model would reject once saved
+UNSAVABLE = {
+    "nan bias": _edit_pair(lambda b: replace(b, bias=float("nan"))),
+    "infinite C": _edit_pair(lambda b: replace(b, C=float("inf"))),
+    "nan alpha": _edit_pair(lambda b: replace(b, sv_alphas=_with_nan(b.sv_alphas))),
+    "nan support vector": _edit_pair(
+        lambda b: replace(b, support_vectors=_with_nan(b.support_vectors, 1))),
+    "nan scaler bound": lambda model: replace(
+        model, scaler=ScalerParams(_with_nan(model.scaler.mins), model.scaler.maxs)),
+    "mixed dimensions": _edit_pair(lambda b: replace(
+        b, support_vectors=np.hstack([b.support_vectors, b.support_vectors[:, :1]]))),
+    "scaler dimension": lambda model: replace(
+        model, scaler=ScalerParams(np.full(3, -20.0), np.full(3, 20.0))),
+}
+
+
 class TestSupportVectorTable:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
     def test_matches_per_pair_vote(self, kernel):
@@ -347,6 +375,25 @@ class TestSupportVectorTable:
             predict_ovo_batch(mixed, np.zeros((1, 2)))
         with pytest.raises(InvalidInput):
             save_model(mixed, tmp_path / "m.svmodel")
+
+    @pytest.mark.parametrize("name", sorted(UNSAVABLE))
+    def test_save_refuses_what_load_rejects(self, tmp_path, name):
+        model = shared_sv_model(Rbf(0.5), k=3)
+        model.scaler = ScalerParams(np.full(2, -20.0), np.full(2, 20.0))
+        save_model(model, tmp_path / "m.svmodel")
+        with pytest.raises(InvalidInput):
+            save_model(UNSAVABLE[name](model), tmp_path / "bad.svmodel")
+        assert not (tmp_path / "bad.svmodel").exists()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    def test_table_holds_each_distinct_vector_once(self, kernel):
+        model = shared_sv_model(kernel)
+        table_kernel, U, rows = _support_table(model)
+        assert table_kernel == kernel
+        for binary, pair_rows in zip(model.binaries, rows):
+            assert np.array_equal(U[pair_rows], binary.support_vectors)
+        assert np.unique(U, axis=0).shape[0] == len(U)
+        assert len(U) < sum(len(b.support_vectors) for b in model.binaries)
 
     def test_dimension_mismatch_rejected(self):
         model = shared_sv_model(Rbf(0.5), k=3)
