@@ -12,7 +12,7 @@ from .errors import (
     TooShort,
     VowelkitError,
 )
-from .frontend import FrontendConfig, RawSignal, extract_features
+from .frontend import FrontendConfig, RawSignal, extract_features, extract_features_many
 from .frame_select import Fcm, MiddleFrames, fcm_cluster, select_middle
 from .kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix, kernel_eval, psd_check
 from .preprocessing import ScalerParams, apply_scaler, fit_scaler

@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import VOWELS, PhonemeToken, load_audio, load_corpus_tokens
-from .errors import DegenerateSpectrum, FormatError, InvalidInput, TooShort, VowelkitError
+from .errors import FormatError, InvalidInput, VowelkitError
 from .frame_select import Fcm, MiddleFrames, SelectionMethod, select_frames_many
-from .frontend import FrontendConfig, RawSignal, extract_features
+from .frontend import FrontendConfig, RawSignal, extract_features_many
 from .kernels import make_kernel
 from .multiclass import (
     LabeledDataset,
@@ -75,12 +75,12 @@ class FrameDataset:
 
 def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
                            signal_cache: Optional[dict] = None):
-    """Per-token feature matrices (None for a too-short token or a degenerate spectrum).
+    """Per-token features from one extract_features_many call, None for a token it skips.
 
     `vowelkit predict` passes the signal it loaded as signal_cache: raw PCM needs --sample-rate.
     """
     cache = {} if signal_cache is None else signal_cache
-    out = []
+    pieces = []
     for token in tokens:
         if token.audio_path not in cache:
             cache[token.audio_path] = load_audio(token.audio_path)
@@ -90,13 +90,9 @@ def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendCon
                 f"{token.utterance_id}: span [{token.begin}, {token.end}) exceeds "
                 f"signal of {signal.samples.size} samples"
             )
-        piece = RawSignal(signal.samples[token.begin : token.end], signal.sample_rate)
-        try:
-            feats = extract_features(piece, frontend)
-        except (TooShort, DegenerateSpectrum):
-            feats = None
-        out.append((token, feats))
-    return out
+        pieces.append(RawSignal(signal.samples[token.begin : token.end], signal.sample_rate))
+    return [(token, None if isinstance(feats, VowelkitError) else feats)
+            for token, feats in zip(tokens, extract_features_many(pieces, frontend))]
 
 
 def select_tokens(token_feats, selection: SelectionMethod, dim: int):

@@ -3,8 +3,8 @@
 All functions are pure; a signal goes in, a per-frame feature matrix comes
 out.  Frames are 256 samples with a 128-sample hop by default, which at
 16 kHz gives 16 ms frames at 125 frames per second.  The spectral steps,
-PLP's linear-prediction recursions included, take one frame or a whole frame
-matrix, and give each frame the same values either way.
+PLP's linear-prediction recursions included, take one frame, a frame matrix or a
+stack of them, and a signal's values do not depend on the others in its stack.
 """
 
 import functools
@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, InvalidInput, TooShort
 
 LOG_FLOOR = 1e-10
+STACK_FRAMES = 256  # bounds a stack's transient arrays, at most about 11 KB per 256-sample frame
 
 
 @dataclass(frozen=True)
@@ -239,31 +240,35 @@ def autocorr_from_bands(bands: np.ndarray, order: int) -> np.ndarray:
     return r[..., : order + 1]
 
 
-def levinson_durbin(r: np.ndarray, order: int):
-    """Solve the Toeplitz normal equations; returns (a, err) with a[..., 0] = 1.
-
-    r holds lags 0..order on its last axis, for one frame or a frame matrix;
-    every frame is solved in the same order-step loop.  Raises
-    DegenerateSpectrum if any frame has a non-positive error variance.
-    """
+def _levinson(r: np.ndarray, order: int):
+    """levinson_durbin's (a, err) and a mask of degenerate frames, whose a is zeroed."""
     r = np.asarray(r, dtype=float)
     if r.shape[-1] < order + 1:
         raise InvalidInput("need order+1 autocorrelation lags")
     a = np.zeros(r.shape[:-1] + (order + 1,))
     a[..., 0] = 1.0
     err = r[..., 0].copy()
-    if np.any(err <= 0.0):
-        raise DegenerateSpectrum("zero-power autocorrelation")
-    for i in range(1, order + 1):
-        dot = np.zeros_like(err)  # a[1:i] . r[i-1:0:-1], summed from the left
-        for j in range(1, i):
-            dot = dot + a[..., j] * r[..., i - j]
-        k = -(r[..., i] + dot) / err
-        a[..., 1:i] = a[..., 1:i] + k[..., None] * a[..., i - 1 : 0 : -1]
-        a[..., i] = k
-        err *= 1.0 - k * k
-        if np.any(err <= 0.0):
-            raise DegenerateSpectrum("non-positive prediction-error variance")
+    degenerate = err <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # degenerate frames
+        for i in range(1, order + 1):
+            dot = np.zeros_like(err)  # a[1:i] . r[i-1:0:-1], summed from the left
+            for j in range(1, i):
+                dot = dot + a[..., j] * r[..., i - j]
+            k = -(r[..., i] + dot) / err
+            a[..., 1:i] = a[..., 1:i] + k[..., None] * a[..., i - 1 : 0 : -1]
+            a[..., i] = k
+            err *= 1.0 - k * k
+            degenerate |= err <= 0.0
+    return np.where(degenerate[..., None], 0.0, a), err, degenerate
+
+
+def levinson_durbin(r: np.ndarray, order: int):
+    """Solve the Toeplitz normal equations of lags 0..order on r's last axis, for every frame;
+    returns (a, err) with a[..., 0] = 1, or raises DegenerateSpectrum if an err is not positive.
+    """
+    a, err, degenerate = _levinson(r, order)
+    if np.any(degenerate):
+        raise DegenerateSpectrum("non-positive prediction-error variance")
     return a, err[()]  # a scalar for one frame
 
 
@@ -294,34 +299,60 @@ def plp(spectrum: np.ndarray, sample_rate: int, lp_order: int, num_ceps: int) ->
 
 
 def _delta(features: np.ndarray) -> np.ndarray:
-    """+-2 window regression slope with edge rows replicated."""
-    n = features.shape[0]
+    """+-2 window regression slope along the frame axis (-2), edge rows replicated."""
+    n = features.shape[-2]
     idx = np.clip(np.arange(-2, n + 2), 0, n - 1)
-    padded = features[idx]
-    num = sum(k * (padded[2 + k : 2 + k + n] - padded[2 - k : 2 - k + n]) for k in (1, 2))
+    p = features[..., idx, :]  # sum() starts from the integer 0, which turns -0.0 into +0.0
+    num = sum(k * (p[..., 2 + k : 2 + k + n, :] - p[..., 2 - k : 2 - k + n, :]) for k in (1, 2))
     return num / (2.0 * (1 + 4))
 
 
 def append_deltas(features: np.ndarray) -> np.ndarray:
-    """[static | delta | delta-delta]; triples the column count."""
+    """[static | delta | delta-delta] of a frame matrix or a stack; triples the column count."""
     features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] < 1:
+    if features.ndim < 2 or features.shape[-2] < 1:
         raise InvalidInput("feature matrix must have at least one row")
     d1 = _delta(features)
     d2 = _delta(d1)
-    return np.hstack([features, d1, d2])
+    return np.concatenate([features, d1, d2], axis=-1)
+
+
+def extract_features_many(signals: list[RawSignal], config: FrontendConfig) -> list:
+    """extract_features of each signal: its features, or the TooShort or DegenerateSpectrum
+    its own call raises.  Pre-emphasis and framing run per signal, the other steps once per
+    (signals, frames, ...) stack of one sample rate and frame count: STACK_FRAMES frames at
+    most, or one signal, and so one matrix product per signal in MFCC, as in its own call."""
+    out, groups = [None] * len(signals), {}  # groups: (rate, frame count) -> signal indices
+    for n, signal in enumerate(signals):
+        n_frames = (signal.samples.size - config.frame_len) // config.hop + 1
+        groups.setdefault((signal.sample_rate, max(n_frames, 0)), []).append(n)
+    for (rate, n_frames), members in groups.items():
+        size = max(1, STACK_FRAMES // n_frames) if n_frames else 1
+        for chunk in (members[i : i + size] for i in range(0, len(members), size)):
+            try:  # a too-short signal is a stack of its own
+                frames = np.stack([frame_signal(pre_emphasize(signals[n], config.pre_emphasis),
+                                                config.frame_len, config.hop) for n in chunk])
+            except TooShort as exc:
+                out[chunk[0]] = exc
+                continue
+            spectra = power_spectrum(apply_hamming(frames))
+            if config.feature_kind == "mfcc":
+                log_e = mel_filterbank(spectra, rate, config.num_mel_filters)
+                feats, degenerate = mfcc(log_e, config.num_ceps), np.zeros(len(chunk), dtype=bool)
+            else:  # the recursions run faster on 2-D (signals * frames, lags) rows
+                r = autocorr_from_bands(auditory_spectrum(spectra, rate), config.lp_order)
+                a, _err, degenerate = _levinson(r.reshape(-1, config.lp_order + 1), config.lp_order)
+                feats = lp_to_cepstrum(a, config.num_ceps).reshape(frames.shape[:2] + (-1,))
+            if config.with_deltas:
+                feats = append_deltas(feats)
+            for n, f, bad in zip(chunk, feats, degenerate.reshape(len(chunk), -1).any(axis=-1)):
+                out[n] = DegenerateSpectrum("non-positive prediction-error variance") if bad else f
+    return out
 
 
 def extract_features(signal: RawSignal, config: FrontendConfig) -> np.ndarray:
-    """Full front end: pre-emphasis, framing, Hamming, FFT, MFCC or PLP, deltas."""
-    emphasized = pre_emphasize(signal, config.pre_emphasis)
-    frames = frame_signal(emphasized, config.frame_len, config.hop)
-    spectra = power_spectrum(apply_hamming(frames))
-    if config.feature_kind == "mfcc":
-        log_e = mel_filterbank(spectra, signal.sample_rate, config.num_mel_filters)
-        feats = mfcc(log_e, config.num_ceps)
-    else:
-        feats = plp(spectra, signal.sample_rate, config.lp_order, config.num_ceps)
-    if config.with_deltas:
-        feats = append_deltas(feats)
+    """Full front end: pre-emphasis, framing, Hamming, FFT, MFCC or PLP, deltas (batch of one)."""
+    (feats,) = extract_features_many([signal], config)
+    if isinstance(feats, Exception):
+        raise feats
     return feats

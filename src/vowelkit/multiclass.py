@@ -16,6 +16,12 @@ MODEL_MAGIC = "vowelkit-svmodel"
 MODEL_VERSION = 1
 
 
+def _check_labels(names, error) -> None:
+    names = list(names)  # as a model file's labels line holds them, split by spaces
+    if len(names) < 2 or names != sorted(set(names)) or any([n] != n.split() for n in names):
+        raise error("need two or more labels, sorted and distinct, without whitespace")
+
+
 @dataclass
 class LabeledDataset:
     X: np.ndarray
@@ -26,10 +32,7 @@ class LabeledDataset:
         self.X = np.asarray(self.X, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         k = len(self.label_names)
-        if k < 2:
-            raise InvalidInput("need at least two classes")
-        if list(self.label_names) != sorted(set(self.label_names)):
-            raise InvalidInput("label_names must be sorted and duplicate-free")
+        _check_labels(self.label_names, InvalidInput)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
             raise InvalidInput("class ids must be in [0, k)")
         if self.X.shape[0] != self.labels.size:
@@ -50,7 +53,7 @@ class OvOModel:
 
     @property
     def not_converged(self) -> List[Tuple[int, int]]:
-        """The class pairs whose solve stopped at max_iter."""
+        """The class pairs whose solve stopped at max_iter or on a non-finite gap or bias."""
         return [p for p, b in zip(self.pair_index, self.binaries) if not b.converged]
 
 
@@ -207,8 +210,9 @@ def _parse_kernel_line(line: str) -> KernelSpec:
 def save_model(model: OvOModel, path) -> None:
     """Versioned text format; floats carry 17 significant digits.
 
-    Numbers or dimensions that load_model would reject raise InvalidInput before any write.
+    Labels, numbers or dimensions load_model would reject raise InvalidInput before any write.
     """
+    _check_labels(model.label_names, InvalidInput)
     kernel, U, rows = _support_table(model)
     scaler = () if model.scaler is None else (model.scaler.mins, model.scaler.maxs)
     numbers = [U.ravel(), *scaler, [x for b in model.binaries for x in (b.bias, b.C)],
@@ -261,8 +265,7 @@ def _read_model(lines) -> OvOModel:
     if header[1] != str(MODEL_VERSION):
         raise FormatError(f"unsupported model version {header[1]}")
     label_names = next_line("labels").split()[1:]
-    if len(label_names) < 2 or label_names != sorted(set(label_names)):
-        raise FormatError("need two or more labels, sorted and distinct")
+    _check_labels(label_names, FormatError)
     kernel = _parse_kernel_line(next_line("kernel").split(" ", 1)[1])
     fingerprint = next_line("fingerprint").split(" ", 1)[1]
     scaler_line = next_line()

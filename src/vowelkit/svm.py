@@ -96,9 +96,9 @@ def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:
     """Solve the dual until m(alpha) - M(alpha) <= params.kkt_tol; see module docstring.
 
     Each update moves the pair (i, j) chosen by second-order working-set
-    selection.  After max_iter updates the model is flagged converged=False
-    but remains usable; its gap tells how far from optimal it stopped.  A
-    batch of one of smo_train_many.
+    selection.  After max_iter updates, or on a non-finite gap or bias, the model
+    is flagged converged=False but remains usable; its gap tells how far from
+    optimal it stopped.  A batch of one of smo_train_many.
     """
     return smo_train_many([problem], params)[0]
 
@@ -148,7 +148,7 @@ def _model(problem: BinaryProblem, params: SvmParams, w, v, n_iter, m, M) -> Bin
         sv_labels=problem.y[sv],
         bias=bias,
         kernel=params.kernel,
-        converged=gap <= params.kkt_tol,
+        converged=math.isfinite(gap) and math.isfinite(bias) and gap <= params.kkt_tol,
         n_iter=int(n_iter),
         C=C,
         gap=gap,

@@ -16,9 +16,11 @@ import os
 import numpy as np
 import pytest
 
+import vowelkit
 from test_multiclass import blob_dataset, shared_sv_model
 from vowelkit import cli
-from vowelkit.experiment import ExperimentConfig, plan_grid
+from vowelkit.corpus import load_corpus_tokens
+from vowelkit.experiment import ExperimentConfig, extract_token_features, frontend_for, plan_grid
 from vowelkit.kernels import Polynomial, Rbf
 from vowelkit.multiclass import save_model, train_ovo
 from vowelkit.preprocessing import fit_scaler
@@ -114,3 +116,21 @@ def test_benchmark_session_parses_and_plans(tmp_path, workload):
     cells, groups = plan_grid(ExperimentConfig(**dict(values, corpus_root=plan["corpus"])))
     assert [c.error for c in cells if c.error] == []
     assert sum(len(group) for _frontend, _selection, group in groups) == len(cells)
+
+
+@pytest.mark.parametrize("workload", _perfbench_module("workloads").WORKLOADS)
+def test_extracted_features_equal_the_checks_per_token_calls(tmp_path, workload):
+    # the checks recompute each token's features with one extract_features call on the
+    # samples their own WAV reader gives; the program extracts a corpus in stacks
+    plan = _perfbench_module("workloads").build(REPO, workload, 1, str(tmp_path))
+    rows = _perfbench_module("checks").Rows(vowelkit)
+    tokens = load_corpus_tokens(plan["corpus"])
+    assert len(tokens) == len(plan["tokens"])
+    for feature in ("mfcc36", "plp36"):
+        got = {(os.path.abspath(token.audio_path), token.begin): feats
+               for token, feats in extract_token_features(tokens, frontend_for(feature))}
+        for token in plan["tokens"]:
+            samples, rate = rows.audio(token["wav"])
+            piece = vowelkit.RawSignal(samples[token["begin"] : token["end"]], rate)
+            want = vowelkit.extract_features(piece, frontend_for(feature))
+            assert np.array_equal(got[(os.path.abspath(token["wav"]), token["begin"])], want)

@@ -213,20 +213,21 @@ class TestPredictUtterance:
 
     def test_degenerate_token_prints_dash(self, trained_model, utterance, capsys, monkeypatch):
         wav, phn, spans = utterance
-        extract = experiment.extract_features
+        extract = experiment.extract_features_many
         seen = []
 
-        def failing_on_third(signal, config):
-            seen.append(signal)
-            if len(seen) == 3:
-                raise DegenerateSpectrum("non-positive prediction-error variance")
-            return extract(signal, config)
+        def failing_on_third(signals, config):
+            seen.append(len(signals))
+            out = extract(signals, config)
+            out[2] = DegenerateSpectrum("non-positive prediction-error variance")
+            return out
 
         argv = ["predict", "--model", str(trained_model), "--audio", wav, "--phn", phn]
         assert run_cli(argv) == EXIT_OK
         normal = _token_lines(capsys.readouterr().out)
-        monkeypatch.setattr(experiment, "extract_features", failing_on_third)
+        monkeypatch.setattr(experiment, "extract_features_many", failing_on_third)
         assert run_cli(argv) == EXIT_OK
+        assert seen == [len(spans)]  # one front-end call for every token
         lines = _token_lines(capsys.readouterr().out)
         begin, end, label = spans[2]
         assert lines[2] == f"utt {begin} {end} {label} -"

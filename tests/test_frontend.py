@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vowelkit.frontend import (
     bark_filter_weights,
     equal_loudness,
     extract_features,
+    extract_features_many,
     frame_signal,
     hamming_window,
     levinson_durbin,
@@ -222,6 +225,13 @@ class TestDeltas:
         out = append_deltas(np.array([[1.0, 2.0]]))
         assert np.allclose(out, [[1.0, 2.0, 0.0, 0.0, 0.0, 0.0]])
 
+    def test_signed_zero_slopes_come_out_positive(self):
+        # the regression sum starts from the integer 0, and 0 + -0.0 is +0.0
+        feats = np.array([[0.0], [-0.0]])
+        for out in (append_deltas(feats), append_deltas(np.stack([feats, feats]))[1]):
+            assert np.array_equal(out, [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+            assert np.array_equal(np.signbit(out[:, 1:]), np.zeros((2, 2), dtype=bool))
+
     def test_linear_ramp_slope(self):
         # rows t, delta of a unit ramp away from edges is exactly 1
         feats = np.arange(10.0)[:, None]
@@ -337,13 +347,13 @@ def _one_frame_plp(spectrum, sample_rate, lp_order, num_ceps):
 
 
 def _degenerate_fifth_frame(monkeypatch, lags):
-    """Make frame 4 of every token of at least five frames degenerate."""
+    """Make frame 4 of every token of at least five frames degenerate, in a stack too."""
     original = frontend.autocorr_from_bands
 
     def patched(bands, order):
         r = original(bands, order)
-        if r.ndim == 2 and r.shape[0] >= 5:
-            r[4] = lags[: order + 1]
+        if r.ndim >= 2 and r.shape[-2] >= 5:
+            r[..., 4, :] = lags[: order + 1]
         return r
 
     monkeypatch.setattr(frontend, "autocorr_from_bands", patched)
@@ -395,3 +405,124 @@ class TestFrameBatchedPlp:
                   PhonemeToken("iy", 1536, 2048, "u", "test", "u.wav")]
         got = extract_token_features(tokens, config, {"u.wav": sig(samples)})
         assert [feats is None for _token, feats in got] == [False, True, False]
+
+
+def _one_token(signal, config):
+    """One signal's features from the frame-matrix steps alone: the per-token reference."""
+    frames = frame_signal(pre_emphasize(signal, config.pre_emphasis), config.frame_len, config.hop)
+    spectra = power_spectrum(apply_hamming(frames))
+    if config.feature_kind == "mfcc":
+        log_e = mel_filterbank(spectra, signal.sample_rate, config.num_mel_filters)
+        feats = mfcc(log_e, config.num_ceps)
+    else:
+        feats = plp(spectra, signal.sample_rate, config.lp_order, config.num_ceps)
+    return append_deltas(feats) if config.with_deltas else feats
+
+
+def _mixed_signals(seed):
+    """Too-short signals and signals of 1 to 300 frames at two sample rates, in mixed order.
+
+    Forty 16 kHz signals of 7 frames are more than one stack; every fifth of them, and one
+    24-frame signal, is loud in its last 256 samples (see _degenerate_when_loud).
+    """
+    rng = np.random.default_rng(seed)
+    signals = []
+    for n in range(90):
+        frames = [7, 1, 2, 3, 24, 0, 300, 7, 5][n % 9] if n >= 40 else 7
+        size = 256 + 128 * (frames - 1) + int(rng.integers(0, 128)) if frames else \
+            int(rng.integers(1, 256))
+        x = rng.normal(size=size) * rng.uniform(0.01, 1.0)
+        if (n < 40 and n % 5 == 2) or n == 40:
+            x[-256:] *= 1000.0
+        signals.append(sig(x, 8000 if n >= 40 and n % 4 == 1 else 16000))
+    return signals
+
+
+def _degenerate_when_loud(monkeypatch, lags):
+    """Make every frame whose zero lag exceeds 50 (a loud frame) degenerate."""
+    original = frontend.autocorr_from_bands
+
+    def patched(bands, order):
+        r = original(bands, order)
+        r[r[..., 0] > 50.0] = lags[: order + 1]
+        return r
+
+    monkeypatch.setattr(frontend, "autocorr_from_bands", patched)
+
+
+def _per_token(signals, config):
+    out = []
+    for signal in signals:
+        try:
+            out.append(_one_token(signal, config))
+        except (TooShort, DegenerateSpectrum) as exc:
+            out.append(type(exc))
+    return out
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, type):
+            assert type(g) is w
+        else:
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
+
+class TestExtractFeaturesMany:
+    @pytest.mark.parametrize("deltas", [True, False])
+    @pytest.mark.parametrize("kind", ["mfcc", "plp"])
+    def test_equals_one_call_per_token(self, kind, deltas):
+        signals = _mixed_signals(50)
+        config = FrontendConfig(feature_kind=kind, with_deltas=deltas)
+        got = extract_features_many(signals, config)
+        want = _per_token(signals, config)
+        _assert_same(got, want)
+        _assert_same([extract_features(s, config) for s in signals if s.samples.size >= 256],
+                     [w for s, w in zip(signals, want) if s.samples.size >= 256])
+        shapes = [f.shape[0] for s, f in zip(signals, got)
+                  if s.sample_rate == 16000 and isinstance(f, np.ndarray)]
+        assert 7 * shapes.count(7) > frontend.STACK_FRAMES  # a group of several stacks
+        assert {1, 300} <= set(shapes)
+        assert sum(isinstance(f, TooShort) for f in got) == 6
+
+    @pytest.mark.parametrize("lags", [np.zeros(13), np.ones(13)])
+    @pytest.mark.parametrize("deltas", [True, False])
+    def test_degenerate_tokens_fail_alone(self, monkeypatch, deltas, lags):
+        _degenerate_when_loud(monkeypatch, lags)
+        signals = _mixed_signals(51)
+        config = FrontendConfig(feature_kind="plp", with_deltas=deltas)
+        got = extract_features_many(signals, config)
+        _assert_same(got, _per_token(signals, config))
+        assert sum(isinstance(f, DegenerateSpectrum) for f in got) == 9
+        with pytest.raises(DegenerateSpectrum):
+            extract_features(signals[2], config)
+
+    @pytest.mark.parametrize("stack_frames", [1, 7, 20])
+    def test_values_do_not_depend_on_the_stack_size(self, monkeypatch, stack_frames):
+        signals = _mixed_signals(52)
+        for kind in ("mfcc", "plp"):
+            config = FrontendConfig(feature_kind=kind)
+            want = extract_features_many(signals, config)
+            monkeypatch.setattr(frontend, "STACK_FRAMES", stack_frames)
+            _assert_same(extract_features_many(signals, config),
+                         [type(w) if isinstance(w, TooShort) else w for w in want])
+            monkeypatch.undo()
+
+    def test_empty_signal_raises_for_the_call(self):
+        with pytest.raises(InvalidInput):
+            extract_features_many([sig(np.ones(300)), sig([])], FrontendConfig())
+        assert extract_features_many([], FrontendConfig()) == []
+
+    def test_peak_memory_is_the_output_and_one_stack(self):
+        rng = np.random.default_rng(53)
+        signals = [sig(rng.normal(size=1024)) for _ in range(2000)]  # 7 frames each
+        tracemalloc.start()
+        try:
+            feats = extract_features_many(signals, FrontendConfig())
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one stack takes about 11 KB per frame at its peak; the frames of all 14 000 frames
+        # at once would add 28 MB, and all of them in one stack about 150 MB
+        assert peak < 2 * sum(f.nbytes for f in feats) + 16 * 1024 * frontend.STACK_FRAMES

@@ -336,6 +336,9 @@ UNSAVABLE = {
         b, support_vectors=np.hstack([b.support_vectors, b.support_vectors[:, :1]]))),
     "scaler dimension": lambda model: replace(
         model, scaler=ScalerParams(np.full(3, -20.0), np.full(3, 20.0))),
+    "unsorted labels": lambda model: replace(model, label_names=["b", "a", "c"]),
+    "repeated label": lambda model: replace(model, label_names=["a", "a", "c"]),
+    "label with a space": lambda model: replace(model, label_names=["a a", "b", "c"]),
 }
 
 

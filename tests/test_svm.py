@@ -6,7 +6,15 @@ import pytest
 from oracles import qp_dual_optimum
 from vowelkit.errors import InvalidInput
 import vowelkit.svm as svm
-from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix, psd_check
+from vowelkit.kernels import (
+    Linear,
+    Polynomial,
+    Rbf,
+    Sigmoid,
+    gram_matrix,
+    make_kernel,
+    psd_check,
+)
 from vowelkit.svm import (
     BinaryModel,
     BinaryProblem,
@@ -236,6 +244,20 @@ class TestStoppingRule:
             assert model.n_iter <= (params.max_iter or 100 * 30)
             seen.add(model.converged)
         assert seen == {True, False}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the kernel overflows on purpose
+    def test_overflowing_kernel_is_not_converged(self):
+        # (1e200 x.y)^3 is inf, so the gap ends at -inf and the bias at nan: -inf <= kkt_tol
+        # holds, but a solve on non-finite numbers has not converged
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, size=(20, 36))
+        y = np.where(rng.uniform(size=20) < 0.5, 1.0, -1.0)
+        y[0], y[1] = 1.0, -1.0
+        params = SvmParams(C=10.0, kernel=make_kernel("polynomial", 1e200))
+        (model,) = smo_train_many([BinaryProblem(x, y)], params)
+        assert model.gap == -np.inf and np.isnan(model.bias)
+        assert model.n_iter == 20
+        assert not model.converged
 
     def test_indefinite_sigmoid_converges_and_meets_kkt(self):
         # large C with an indefinite Gram, where a solve can use up its update budget
