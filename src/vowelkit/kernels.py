@@ -6,12 +6,12 @@ sigmoid tanh(sigma*x.y + r).  Linear is the diagnostic special case x.y.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput
+from .errors import InvalidInput
 
 
 def _require_finite(kind: str, **values) -> None:
@@ -104,29 +104,7 @@ def psd_check(gram: np.ndarray, tol: float = 1e-8):
     return min_eig >= -tol * max(1.0, float(np.trace(gram))), min_eig
 
 
-# --- serialization ---------------------------------------------------------
-
 KERNEL_KINDS = {"polynomial": Polynomial, "rbf": Rbf, "sigmoid": Sigmoid, "linear": Linear}
-
-
-def kernel_to_dict(spec: KernelSpec) -> dict:
-    kinds = [kind for kind, cls in KERNEL_KINDS.items() if type(spec) is cls]
-    if not kinds:
-        raise InvalidInput(f"unknown kernel spec: {spec!r}")
-    return {"kind": kinds[0], **asdict(spec)}
-
-
-def kernel_from_dict(data: dict) -> KernelSpec:
-    try:
-        cls = KERNEL_KINDS[data["kind"]]
-        args = {k: v for k, v in data.items() if k != "kind"}
-        if "d" in args:
-            if not float(args["d"]).is_integer():
-                raise FormatError(f"polynomial degree must be an integer, got {args['d']!r}")
-            args["d"] = int(args["d"])
-        return cls(**args)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad kernel description: {data!r}") from exc
 
 
 def make_kernel(kind: str, sigma: float) -> KernelSpec:

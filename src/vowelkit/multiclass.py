@@ -2,13 +2,13 @@
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FormatError, InvalidInput
-from .kernels import KernelSpec, Linear, gram_matrix, kernel_from_dict, kernel_to_dict
+from .kernels import KERNEL_KINDS, KernelSpec, gram_matrix
 from .preprocessing import ScalerParams
 from .svm import BinaryModel, BinaryProblem, SvmParams, smo_train_many
 
@@ -41,15 +41,28 @@ class LabeledDataset:
 
 @dataclass
 class OvOModel:
+    """One binary model per class pair (i, j), i < j, in pair_index order; i is the +1 class."""
+
     label_names: List[str]
-    pair_index: List[Tuple[int, int]]
     binaries: List[BinaryModel]
     scaler: Optional[ScalerParams] = None
     fingerprint: str = ""
 
+    def __post_init__(self):
+        _check_labels(self.label_names, InvalidInput)
+        n_pairs = self.k * (self.k - 1) // 2
+        if len(self.binaries) != n_pairs:
+            raise InvalidInput(f"{self.k} labels need {n_pairs} pair classifiers, "
+                               f"got {len(self.binaries)}")
+
     @property
     def k(self) -> int:
         return len(self.label_names)
+
+    @property
+    def pair_index(self) -> List[Tuple[int, int]]:
+        """Every class pair (i, j), i < j, once, in order."""
+        return list(itertools.combinations(range(self.k), 2))
 
     @property
     def not_converged(self) -> List[Tuple[int, int]]:
@@ -82,17 +95,9 @@ def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
         y = np.where(data.labels[mask] == i, 1.0, -1.0)
         problems.append(BinaryProblem(data.X[mask], y))
     solved = smo_train_many(problems * len(params), [q for q in params for _pair in pairs])
-    models = []
-    for c in range(len(params)):
-        binaries = solved[c * len(pairs) : (c + 1) * len(pairs)]
-        models.append(OvOModel(
-            label_names=list(data.label_names),
-            pair_index=pairs,
-            binaries=binaries,
-            scaler=scaler,
-            fingerprint=fingerprint,
-        ))
-    return models
+    n = len(pairs)
+    return [OvOModel(list(data.label_names), solved[c * n : (c + 1) * n], scaler, fingerprint)
+            for c in range(len(params))]
 
 
 def _support_table(model: OvOModel):
@@ -105,7 +110,7 @@ def _support_table(model: OvOModel):
     rows = [[index.setdefault(vec.tobytes(), len(index)) for vec in b.support_vectors]
             for b in model.binaries]
     U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), dims.pop() if dims else 0)
-    return (kernels.pop() if kernels else Linear()), U, rows
+    return kernels.pop(), U, rows
 
 
 def _votes_and_scores(model: OvOModel, X: np.ndarray):
@@ -188,32 +193,44 @@ def _number(text: str, what: str) -> float:
 
 
 def _kernel_line(spec: KernelSpec) -> str:
-    d = kernel_to_dict(spec)
-    parts = [d.pop("kind")]
-    for key in sorted(d):
-        val = d[key]
-        parts.append(f"{key}={int(val) if key == 'd' else _fmt(val)}")
+    """The kind, then key=value over the spec's fields in sorted order; int fields as integers."""
+    kind = next((kind for kind, cls in KERNEL_KINDS.items() if type(spec) is cls), None)
+    if kind is None:
+        raise InvalidInput(f"unknown kernel spec: {spec!r}")
+    parts = [kind]
+    for field in sorted(fields(spec), key=lambda f: f.name):
+        value = getattr(spec, field.name)
+        parts.append(f"{field.name}={int(value) if field.type is int else _fmt(value)}")
     return " ".join(parts)
 
 
 def _parse_kernel_line(line: str) -> KernelSpec:
-    fields = line.split()
-    if not fields:
-        raise FormatError("empty kernel line")
-    data = {"kind": fields[0]}
-    for item in fields[1:]:
-        key, _, val = item.partition("=")
-        data[key] = _number(val, "kernel line")
-    return kernel_from_dict(data)
+    """The inverse of _kernel_line: a known kind and each of its fields once, as finite numbers."""
+    kind, *items = line.split() or [""]
+    if kind not in KERNEL_KINDS:
+        raise FormatError(f"unknown kernel kind {kind!r}")
+    types = {field.name: field.type for field in fields(KERNEL_KINDS[kind])}
+    texts = dict(item.partition("=")[::2] for item in items)
+    if len(texts) != len(items) or texts.keys() != types.keys():
+        raise FormatError(f"kernel {kind} needs each of {sorted(types)} once, got {items!r}")
+    args = {}
+    for key, text in texts.items():
+        value = _number(text, "kernel line")
+        args[key] = int(value) if types[key] is int and value.is_integer() else value
+    try:
+        return KERNEL_KINDS[kind](**args)
+    except InvalidInput as exc:
+        raise FormatError(f"bad kernel line {line!r}: {exc}") from None
 
 
 def save_model(model: OvOModel, path) -> None:
     """Versioned text format; floats carry 17 significant digits.
 
-    Labels, numbers or dimensions load_model would reject raise InvalidInput before any write.
+    A kernel, number or dimension load_model would reject raises InvalidInput before any
+    write; the labels and the pair count were checked when the model was built.
     """
-    _check_labels(model.label_names, InvalidInput)
     kernel, U, rows = _support_table(model)
+    kernel_line = _kernel_line(kernel)
     scaler = () if model.scaler is None else (model.scaler.mins, model.scaler.maxs)
     numbers = [U.ravel(), *scaler, [x for b in model.binaries for x in (b.bias, b.C)],
                *(b.sv_alphas for b in model.binaries)]
@@ -225,7 +242,7 @@ def save_model(model: OvOModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         fh.write("labels " + " ".join(model.label_names) + "\n")
-        fh.write("kernel " + _kernel_line(kernel) + "\n")
+        fh.write("kernel " + kernel_line + "\n")
         fh.write("fingerprint " + (model.fingerprint or "-") + "\n")
         if model.scaler is not None:
             fh.write("scaler_min " + " ".join(_fmt(v) for v in model.scaler.mins) + "\n")
@@ -285,7 +302,6 @@ def _read_model(lines) -> OvOModel:
         raise FormatError(f"bad pair count: {exc}") from exc
     dim = scaler.dim if scaler is not None else None
     vectors = {}  # vector text -> parsed vector, so a shared vector is parsed once
-    pair_index = []
     binaries = []
     for pair in itertools.combinations(range(k), 2):
         fields = next_line("pair").split()
@@ -313,10 +329,8 @@ def _read_model(lines) -> OvOModel:
             alphas.append(_number(fields[1], "sv line"))
             labels.append(1.0 if fields[2] == "+1" else -1.0)
             vecs.append(vectors[fields[3]])
-        pair_index.append(pair)
         binaries.append(BinaryModel(np.array(vecs, dtype=float).reshape(nsv, dim or 0), alphas,
                                     labels, bias, kernel, converged=converged, C=c_val))
     if next_line() != "end":
         raise FormatError("missing end marker")
-    return OvOModel(label_names, pair_index, binaries, scaler,
-                    "" if fingerprint == "-" else fingerprint)
+    return OvOModel(label_names, binaries, scaler, "" if fingerprint == "-" else fingerprint)

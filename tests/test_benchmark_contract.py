@@ -21,7 +21,7 @@ from test_multiclass import blob_dataset, shared_sv_model
 from vowelkit import cli
 from vowelkit.corpus import load_corpus_tokens
 from vowelkit.experiment import ExperimentConfig, extract_token_features, frontend_for, plan_grid
-from vowelkit.kernels import Polynomial, Rbf
+from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
 from vowelkit.multiclass import save_model, train_ovo
 from vowelkit.preprocessing import fit_scaler
 from vowelkit.svm import SvmParams
@@ -69,14 +69,20 @@ def test_every_name_the_checks_import_exists():
     assert missing == []
 
 
-@pytest.mark.parametrize("kernel", [Rbf(0.5), Polynomial(0.05, 1.0, 3)],
-                         ids=lambda k: type(k).__name__)
-def test_saved_model_parses_with_the_benchmark_reader(tmp_path, kernel):
+@pytest.mark.parametrize("kernel, fields", [
+    (Rbf(0.5), {"kind": "rbf", "sigma": 0.5}),
+    (Polynomial(0.05, 1.0, 3), {"kind": "polynomial", "d": 3.0, "r": 1.0, "sigma": 0.05}),
+    (Sigmoid(0.05, -1.0), {"kind": "sigmoid", "r": -1.0, "sigma": 0.05}),
+    (Linear(), {"kind": "linear"}),
+], ids=["Rbf", "Polynomial", "Sigmoid", "Linear"])
+def test_saved_model_parses_with_the_benchmark_reader(tmp_path, kernel, fields):
     data = blob_dataset(4, per_class=10, seed=3, spread=3.0)
     model = train_ovo(data, SvmParams(C=10.0, kernel=kernel), fingerprint="f",
                       scaler=fit_scaler(data.X))
     save_model(model, tmp_path / "m.svmodel")
     parsed = _perfbench_module("checks").parse_svmodel(str(tmp_path / "m.svmodel"))
+    assert parsed["kernel"] == fields
+    assert all(type(value) is float for key, value in parsed["kernel"].items() if key != "kind")
     assert [(pair["i"], pair["j"]) for pair in parsed["pairs"]] == model.pair_index
     assert ([pair["sv"].shape for pair in parsed["pairs"]]
             == [b.support_vectors.shape for b in model.binaries])

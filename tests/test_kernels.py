@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vowelkit.errors import FormatError, InvalidInput
+from vowelkit.errors import InvalidInput
 from vowelkit.kernels import (
     Linear,
     Polynomial,
@@ -9,11 +9,11 @@ from vowelkit.kernels import (
     Sigmoid,
     gram_matrix,
     kernel_eval,
-    kernel_from_dict,
-    kernel_to_dict,
     make_kernel,
     psd_check,
 )
+from vowelkit.multiclass import OvOModel, load_model, save_model
+from vowelkit.svm import BinaryModel
 
 
 class TestKernelEval:
@@ -140,6 +140,11 @@ def _find_non_psd_sigmoid(seed):
     return None
 
 
+def _one_pair_model(spec):
+    binary = BinaryModel(np.array([[0.5, -1.0]]), [0.25], [1.0], bias=0.125, kernel=spec, C=10.0)
+    return OvOModel(["a", "b"], [binary])
+
+
 class TestSpecsAndSerialization:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):
@@ -149,21 +154,35 @@ class TestSpecsAndSerialization:
         with pytest.raises(InvalidInput):
             Polynomial(d=0)
 
-    def test_round_trip(self):
-        for spec in (Rbf(0.027), Polynomial(2.0, 1.0, 3), Sigmoid(0.5, -1.0), Linear()):
-            assert kernel_from_dict(kernel_to_dict(spec)) == spec
+    def test_round_trip(self, tmp_path):
+        for n, spec in enumerate((Rbf(0.027), Polynomial(2.0, 1.0, 3), Sigmoid(0.5, -1.0),
+                                  Linear())):
+            first, second = tmp_path / f"{n}a.svmodel", tmp_path / f"{n}b.svmodel"
+            save_model(_one_pair_model(spec), first)
+            loaded = load_model(first)
+            assert loaded.binaries[0].kernel == spec
+            save_model(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
 
-    def test_dict_shape(self):
-        assert kernel_to_dict(Rbf(0.027)) == {"kind": "rbf", "sigma": 0.027}
+    def test_line_shape(self, tmp_path):
+        lines = {"rbf sigma=0.027": Rbf(0.027), "polynomial d=3 r=0 sigma=0.5": Polynomial(0.5),
+                 "sigmoid r=0 sigma=2": Sigmoid(2.0), "linear": Linear()}
+        for line, spec in lines.items():
+            save_model(_one_pair_model(spec), tmp_path / "m.svmodel")
+            assert (tmp_path / "m.svmodel").read_text().splitlines()[2] == "kernel " + line
 
-    def test_bad_dict(self):
-        with pytest.raises(FormatError):
-            kernel_from_dict({"kind": "spline"})
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(InvalidInput):
+            save_model(_one_pair_model(object()), tmp_path / "unknown.svmodel")
+        assert not (tmp_path / "unknown.svmodel").exists()
 
-    def test_non_integer_degree(self):
-        assert kernel_from_dict({"kind": "polynomial", "d": 3.0}) == Polynomial(d=3)
-        with pytest.raises(FormatError):
-            kernel_from_dict({"kind": "polynomial", "sigma": 1.0, "r": 0.0, "d": 3.5})
+    def test_non_integer_degree(self, tmp_path):
+        # d=3.5 is a FormatError: see MALFORMED in test_multiclass.py
+        path = tmp_path / "m.svmodel"
+        save_model(_one_pair_model(Polynomial(d=3)), path)
+        path.write_text(path.read_text().replace("polynomial d=3 ", "polynomial d=3.0 "))
+        spec = load_model(path).binaries[0].kernel
+        assert spec == Polynomial(d=3) and type(spec.d) is int
 
     def test_make_kernel_defaults(self):
         assert make_kernel("polynomial", 2.0) == Polynomial(2.0, 0.0, 3)

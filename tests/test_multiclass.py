@@ -56,6 +56,7 @@ class TestTrainOvo:
     def test_twenty_classes_190_binaries(self):
         model = train_ovo(blob_dataset(20, per_class=3), SvmParams(C=10.0, kernel=Rbf(0.5)))
         assert len(model.binaries) == 190
+        assert model.pair_index == list(itertools.combinations(range(20), 2))
 
     def test_label_names_must_be_sorted(self):
         with pytest.raises(InvalidInput):
@@ -106,6 +107,16 @@ class TestTrainOvo:
                     == (tmp_path / f"one{n}.svmodel").read_bytes())
 
 
+class TestOvOModel:
+    @pytest.mark.parametrize("labels, n_binaries", [
+        (["a", "b", "c"], 2), (["a", "b"], 3), (["b", "a", "c"], 3), (["a", "a", "c"], 3),
+        (["a a", "b", "c"], 3)])
+    def test_labels_and_pair_count_checked(self, labels, n_binaries):
+        binary = BinaryModel(np.zeros((0, 2)), [], [], bias=1.0, kernel=Linear())
+        with pytest.raises(InvalidInput):
+            OvOModel(labels, [binary] * n_binaries)
+
+
 class TestPredictOvo:
     def test_blobs_classified_correctly(self):
         data = blob_dataset(4, seed=1)
@@ -133,35 +144,6 @@ class TestPredictOvo:
         first = predict_ovo_batch(model, x)
         for _ in range(5):
             assert np.array_equal(predict_ovo_batch(model, x), first)
-
-    def test_relabeling_symmetry(self):
-        # swapping a pair's orientation and negating its decision leaves votes unchanged
-        data = blob_dataset(3, seed=7)
-        model = train_ovo(data, SvmParams(C=10.0, kernel=Rbf(0.5)))
-        swapped_binaries = []
-        for binary in model.binaries:
-            swapped_binaries.append(
-                BinaryModel(
-                    support_vectors=binary.support_vectors,
-                    sv_alphas=binary.sv_alphas,
-                    sv_labels=-binary.sv_labels,
-                    bias=-binary.bias,
-                    kernel=binary.kernel,
-                    C=binary.C,
-                )
-            )
-        swapped = OvOModel(
-            label_names=model.label_names,
-            pair_index=[(j, i) for i, j in model.pair_index],
-            binaries=swapped_binaries,
-        )
-        # (j, i) orientation is not the canonical order, so compare vote winners
-        # through the voting helper on a batch of probes
-        rng = np.random.default_rng(8)
-        probes = rng.uniform(-12, 12, size=(40, 2))
-        assert np.array_equal(
-            predict_ovo_batch(model, probes), predict_ovo_batch(swapped, probes)
-        )
 
     def test_three_way_tie_uses_strength(self):
         data = blob_dataset(3, seed=9)
@@ -297,8 +279,7 @@ def reference_vote(model, X):
 def with_binary(model, index, binary):
     binaries = list(model.binaries)
     binaries[index] = binary
-    return OvOModel(model.label_names, model.pair_index, binaries, model.scaler,
-                    model.fingerprint)
+    return OvOModel(model.label_names, binaries, model.scaler, model.fingerprint)
 
 
 def shared_sv_model(kernel, k=5, seed=20):
@@ -455,15 +436,27 @@ def _labels(edit):
                            if line.startswith("labels ") else line) for line in lines]
 
 
+def _kernel(text):
+    """Replace the whole kernel line by 'kernel ' + text."""
+    return lambda lines: [("kernel " + text if line.startswith("kernel ") else line)
+                          for line in lines]
+
+
 # name -> edit of a saved model's lines that load_model must reject with FormatError
 MALFORMED = {
     "version": _field("vowelkit-svmodel", 1, "one"),
     "blank pair count": _field("pairs", 1, ""),
     "kernel parameter": _field("kernel", 2, "sigma=abc"),
     "non-finite kernel parameter": _field("kernel", 2, "sigma=nan"),
-    "non-integer polynomial degree": lambda lines: [
-        "kernel polynomial d=3.5 r=0 sigma=1" if line.startswith("kernel ") else line
-        for line in lines],
+    "non-integer polynomial degree": _kernel("polynomial d=3.5 r=0 sigma=1"),
+    "polynomial without parameters": _kernel("polynomial"),
+    "polynomial without r and sigma": _kernel("polynomial d=3"),
+    "sigmoid without parameters": _kernel("sigmoid"),
+    "repeated kernel parameter": _kernel("rbf sigma=0.5 sigma=2"),
+    "unknown kernel parameter": _kernel("rbf sigma=0.5 gamma=1"),
+    "unknown kernel kind": _kernel("spline sigma=1"),
+    "negative rbf sigma": _kernel("rbf sigma=-1"),
+    "zero polynomial degree": _kernel("polynomial d=0 r=0 sigma=1"),
     "scaler value": _field("scaler_min", 1, "abc"),
     "non-finite scaler value": _field("scaler_max", 1, "inf"),
     "pair bias": _field("pair ", 3, "bias=abc"),

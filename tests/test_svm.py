@@ -63,7 +63,7 @@ class TestPredictBinary:
         assert f[0] > 0.0 and f[1] < 0.0
         # f(x) = 0 exactly: the declared tie rule is +1, the pair's first class
         flat = BinaryModel(np.zeros((0, 2)), [], [], bias=0.0, kernel=Linear())
-        model = OvOModel(["a", "b"], [(0, 1)], [flat])
+        model = OvOModel(["a", "b"], [flat])
         assert decision_values(flat, np.zeros((1, 2)))[0] == 0.0
         assert predict_ovo_batch(model, np.zeros((1, 2)))[0] == 0
 
