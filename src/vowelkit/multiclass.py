@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,10 +16,10 @@ MODEL_MAGIC = "vowelkit-svmodel"
 MODEL_VERSION = 1
 
 
-def _check_labels(names, error) -> None:
+def _check_labels(names) -> None:
     names = list(names)  # as a model file's labels line holds them, split by spaces
     if len(names) < 2 or names != sorted(set(names)) or any([n] != n.split() for n in names):
-        raise error("need two or more labels, sorted and distinct, without whitespace")
+        raise InvalidInput("need two or more labels, sorted and distinct, without whitespace")
 
 
 @dataclass
@@ -32,28 +32,46 @@ class LabeledDataset:
         self.X = np.asarray(self.X, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         k = len(self.label_names)
-        _check_labels(self.label_names, InvalidInput)
+        _check_labels(self.label_names)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= k):
             raise InvalidInput("class ids must be in [0, k)")
         if self.X.shape[0] != self.labels.size:
             raise InvalidInput("one label per feature row required")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OvOModel:
-    """One binary model per class pair (i, j), i < j, in pair_index order; i is the +1 class."""
+    """One binary model per class pair (i, j), i < j, in pair_index order; i is the +1 class.
 
-    label_names: List[str]
-    binaries: List[BinaryModel]
+    The constructor makes every structural check and builds _support_table = (kernel, U, rows):
+    the pairs' one kernel, the distinct support vectors U in order of first use, each pair's rows.
+    """
+
+    label_names: Sequence[str]  # held as a tuple, as are the binaries
+    binaries: Sequence[BinaryModel]
     scaler: Optional[ScalerParams] = None
     fingerprint: str = ""
+    _support_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_labels(self.label_names, InvalidInput)
+        object.__setattr__(self, "label_names", tuple(self.label_names))
+        object.__setattr__(self, "binaries", tuple(self.binaries))
+        _check_labels(self.label_names)
         n_pairs = self.k * (self.k - 1) // 2
         if len(self.binaries) != n_pairs:
             raise InvalidInput(f"{self.k} labels need {n_pairs} pair classifiers, "
                                f"got {len(self.binaries)}")
+        kernels = {b.kernel for b in self.binaries}
+        dims = {b.support_vectors.shape[1] for b in self.binaries if len(b.support_vectors)}
+        if len(kernels) > 1 or len(dims) > 1:
+            raise InvalidInput("the pair classifiers differ in kernel or support-vector dimension")
+        if self.scaler is not None and dims and dims != {self.scaler.dim}:
+            raise InvalidInput("the support vectors and the scaler differ in dimension")
+        index = {}  # vec.tobytes() -> its row of U, in order of first use
+        rows = [[index.setdefault(vec.tobytes(), len(index)) for vec in b.support_vectors]
+                for b in self.binaries]
+        U = np.frombuffer(b"".join(index)).reshape(len(index), dims.pop() if dims else 0)
+        object.__setattr__(self, "_support_table", (kernels.pop(), U, rows))
 
     @property
     def k(self) -> int:
@@ -96,21 +114,8 @@ def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
         problems.append(BinaryProblem(data.X[mask], y))
     solved = smo_train_many(problems * len(params), [q for q in params for _pair in pairs])
     n = len(pairs)
-    return [OvOModel(list(data.label_names), solved[c * n : (c + 1) * n], scaler, fingerprint)
+    return [OvOModel(data.label_names, solved[c * n : (c + 1) * n], scaler, fingerprint)
             for c in range(len(params))]
-
-
-def _support_table(model: OvOModel):
-    """(kernel, U, rows): the pairs' one kernel, distinct support vectors and each pair's rows."""
-    kernels = {b.kernel for b in model.binaries}
-    dims = {b.support_vectors.shape[1] for b in model.binaries if len(b.support_vectors)}
-    if len(kernels) > 1 or len(dims) > 1:
-        raise InvalidInput("the pair classifiers differ in kernel or support-vector dimension")
-    index = {}  # vec.tobytes() -> its row of U, in order of first use
-    rows = [[index.setdefault(vec.tobytes(), len(index)) for vec in b.support_vectors]
-            for b in model.binaries]
-    U = np.frombuffer(b"".join(index), dtype=float).reshape(len(index), dims.pop() if dims else 0)
-    return kernels.pop(), U, rows
 
 
 def _votes_and_scores(model: OvOModel, X: np.ndarray):
@@ -120,7 +125,7 @@ def _votes_and_scores(model: OvOModel, X: np.ndarray):
     support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y summed
     over the pair's copies of u.  A non-finite decision value is an InvalidInput.
     """
-    kernel, U, rows = _support_table(model)
+    kernel, U, rows = model._support_table
     if len(U) and U.shape[1] != X.shape[1]:
         raise InvalidInput("feature dimension mismatch")
     coef = np.zeros((len(U), len(rows)))
@@ -198,10 +203,18 @@ def _kernel_line(spec: KernelSpec) -> str:
     if kind is None:
         raise InvalidInput(f"unknown kernel spec: {spec!r}")
     parts = [kind]
-    for field in sorted(fields(spec), key=lambda f: f.name):
-        value = getattr(spec, field.name)
-        parts.append(f"{field.name}={int(value) if field.type is int else _fmt(value)}")
+    for f in sorted(fields(spec), key=lambda f: f.name):
+        value = getattr(spec, f.name)
+        parts.append(f"{f.name}={int(value) if f.type is int else _fmt(value)}")
     return " ".join(parts)
+
+
+def _key_values(items: List[str], keys, what: str) -> dict:
+    """key=value items as {key: value text}, with each of keys once and no other key."""
+    texts = dict(item.partition("=")[::2] for item in items)
+    if len(texts) != len(items) or texts.keys() != set(keys):
+        raise FormatError(f"{what} needs each of {sorted(keys)} once, got {items!r}")
+    return texts
 
 
 def _parse_kernel_line(line: str) -> KernelSpec:
@@ -209,35 +222,28 @@ def _parse_kernel_line(line: str) -> KernelSpec:
     kind, *items = line.split() or [""]
     if kind not in KERNEL_KINDS:
         raise FormatError(f"unknown kernel kind {kind!r}")
-    types = {field.name: field.type for field in fields(KERNEL_KINDS[kind])}
-    texts = dict(item.partition("=")[::2] for item in items)
-    if len(texts) != len(items) or texts.keys() != types.keys():
-        raise FormatError(f"kernel {kind} needs each of {sorted(types)} once, got {items!r}")
+    types = {f.name: f.type for f in fields(KERNEL_KINDS[kind])}
     args = {}
-    for key, text in texts.items():
+    for key, text in _key_values(items, types, f"kernel {kind}").items():
         value = _number(text, "kernel line")
         args[key] = int(value) if types[key] is int and value.is_integer() else value
-    try:
-        return KERNEL_KINDS[kind](**args)
-    except InvalidInput as exc:
-        raise FormatError(f"bad kernel line {line!r}: {exc}") from None
+    return KERNEL_KINDS[kind](**args)
 
 
 def save_model(model: OvOModel, path) -> None:
     """Versioned text format; floats carry 17 significant digits.
 
-    A kernel, number or dimension load_model would reject raises InvalidInput before any
-    write; the labels and the pair count were checked when the model was built.
+    A kernel of no known kind or a non-finite number raises InvalidInput before any write:
+    training can yield a NaN bias, and load_model would reject it.  The labels, pairs and
+    dimensions were checked when the model was built.
     """
-    kernel, U, rows = _support_table(model)
+    kernel, U, rows = model._support_table
     kernel_line = _kernel_line(kernel)
     scaler = () if model.scaler is None else (model.scaler.mins, model.scaler.maxs)
     numbers = [U.ravel(), *scaler, [x for b in model.binaries for x in (b.bias, b.C)],
                *(b.sv_alphas for b in model.binaries)]
     if not np.isfinite(np.concatenate(numbers)).all():
         raise InvalidInput("the model holds a non-finite number; a model file cannot store it")
-    if scaler and len(U) and U.shape[1] != model.scaler.dim:
-        raise InvalidInput("the support vectors and the scaler differ in dimension")
     texts = [" ".join(_fmt(v) for v in u) for u in U]  # a vector shared by pairs, formatted once
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
@@ -259,9 +265,12 @@ def save_model(model: OvOModel, path) -> None:
 
 
 def load_model(path) -> OvOModel:
-    """Read a model file; any malformed or non-finite field raises FormatError."""
+    """Read a model file; anything malformed, or refused by a constructor, raises FormatError."""
     with open(path, "r", encoding="utf-8") as fh:  # universal newlines: \r\n reads as \n
-        return _read_model(fh)
+        try:
+            return _read_model(fh)
+        except InvalidInput as exc:
+            raise FormatError(f"bad model file: {exc}") from exc
 
 
 def _read_model(lines) -> OvOModel:
@@ -282,7 +291,6 @@ def _read_model(lines) -> OvOModel:
     if header[1] != str(MODEL_VERSION):
         raise FormatError(f"unsupported model version {header[1]}")
     label_names = next_line("labels").split()[1:]
-    _check_labels(label_names, FormatError)
     kernel = _parse_kernel_line(next_line("kernel").split(" ", 1)[1])
     fingerprint = next_line("fingerprint").split(" ", 1)[1]
     scaler_line = next_line()
@@ -295,28 +303,20 @@ def _read_model(lines) -> OvOModel:
     else:
         raise FormatError(f"expected scaler block, got {scaler_line!r}")
     k = len(label_names)
-    try:
-        if int(next_line("pairs").split()[1]) != k * (k - 1) // 2:
-            raise ValueError(f"need every class pair of {k} classes once")
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"bad pair count: {exc}") from exc
-    dim = scaler.dim if scaler is not None else None
+    if next_line("pairs").split()[1:] != [str(k * (k - 1) // 2)]:
+        raise FormatError(f"bad pair count: need every class pair of {k} classes once")
+    dim = None
     vectors = {}  # vector text -> parsed vector, so a shared vector is parsed once
     binaries = []
     for pair in itertools.combinations(range(k), 2):
         fields = next_line("pair").split()
-        try:
-            attrs = dict(f.split("=", 1) for f in fields[3:])
-            bias = _number(attrs["bias"], "pair line")
-            c_val = _number(attrs["C"], "pair line")
-            converged = bool(int(attrs["converged"]))
-            nsv = int(attrs["nsv"])
-            if (int(fields[1]), int(fields[2])) != pair or nsv < 0:  # every pair once, in order
-                raise ValueError
-        except (KeyError, ValueError, IndexError) as exc:
-            raise FormatError(f"bad pair line: {fields!r}") from exc
+        attrs = _key_values(fields[3:], ("bias", "C", "converged", "nsv"), "pair line")
+        if (fields[1:3] != [str(i) for i in pair]  # every pair once, in order
+                or attrs["converged"] not in ("0", "1") or not attrs["nsv"].isdecimal()):
+            raise FormatError(f"bad pair line: {fields!r}")
+        bias, c_val = (_number(attrs[key], "pair line") for key in ("bias", "C"))
         alphas, labels, vecs = [], [], []
-        for _ in range(nsv):
+        for _ in range(int(attrs["nsv"])):
             fields = next_line("sv").split(None, 3)  # sv, alpha, label, vector text
             if len(fields) != 4 or fields[2] not in ("+1", "-1"):
                 raise FormatError(f"bad sv line: {fields[:3]!r}")
@@ -329,8 +329,9 @@ def _read_model(lines) -> OvOModel:
             alphas.append(_number(fields[1], "sv line"))
             labels.append(1.0 if fields[2] == "+1" else -1.0)
             vecs.append(vectors[fields[3]])
-        binaries.append(BinaryModel(np.array(vecs, dtype=float).reshape(nsv, dim or 0), alphas,
-                                    labels, bias, kernel, converged=converged, C=c_val))
+        binaries.append(BinaryModel(np.array(vecs, dtype=float).reshape(len(vecs), dim or 0),
+                                    alphas, labels, bias, kernel,
+                                    converged=attrs["converged"] == "1", C=c_val))
     if next_line() != "end":
         raise FormatError("missing end marker")
     return OvOModel(label_names, binaries, scaler, "" if fingerprint == "-" else fingerprint)

@@ -74,7 +74,7 @@ class SvmParams:
             raise InvalidInput("max_iter must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinaryModel:
     support_vectors: np.ndarray
     sv_alphas: np.ndarray
@@ -87,9 +87,8 @@ class BinaryModel:
     gap: float = float("nan")  # final m(alpha) - M(alpha); not stored in model files
 
     def __post_init__(self):
-        self.support_vectors = np.asarray(self.support_vectors, dtype=float)
-        self.sv_alphas = np.asarray(self.sv_alphas, dtype=float)
-        self.sv_labels = np.asarray(self.sv_labels, dtype=float)
+        for name in ("support_vectors", "sv_alphas", "sv_labels"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:

@@ -4,7 +4,7 @@ import json
 import os
 import shutil
 import wave
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -306,8 +306,7 @@ class TestEvaluate:
 
     def test_model_without_scaler_is_applied_unscaled(self, trained_model, small_corpus,
                                                       tmp_path, capsys):
-        model = load_model(trained_model)
-        model.scaler = None
+        model = replace(load_model(trained_model), scaler=None)
         save_model(model, tmp_path / "unscaled.svmodel")
         assert "scaler none" in (tmp_path / "unscaled.svmodel").read_text().splitlines()
         capsys.readouterr()

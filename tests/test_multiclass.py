@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from test_corpus import FUZZ
-from vowelkit.errors import FormatError, InvalidInput, VowelkitError
+from vowelkit.errors import FormatError, InvalidInput
 from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
 from vowelkit.multiclass import (
     LabeledDataset,
     OvOModel,
-    _support_table,
     _votes_and_scores,
     load_model,
     predict_ovo_batch,
@@ -115,6 +114,21 @@ class TestOvOModel:
         binary = BinaryModel(np.zeros((0, 2)), [], [], bias=1.0, kernel=Linear())
         with pytest.raises(InvalidInput):
             OvOModel(labels, [binary] * n_binaries)
+
+    def test_frozen(self):
+        model = train_ovo(blob_dataset(3), SvmParams(C=10.0, kernel=Linear()))
+        assert isinstance(model.label_names, tuple) and isinstance(model.binaries, tuple)
+        for target, name in [(model, "binaries"), (model, "label_names"), (model, "scaler"),
+                             (model.binaries[0], "bias")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, getattr(target, name))
+        with pytest.raises(InvalidInput):  # a changed copy goes through the same checks
+            replace(model, binaries=model.binaries[:2])
+
+    def test_scaler_dimension_checked_at_construction(self):
+        model = train_ovo(blob_dataset(3), SvmParams(C=10.0, kernel=Linear()))
+        with pytest.raises(InvalidInput):
+            OvOModel(model.label_names, model.binaries, ScalerParams(np.zeros(3), np.ones(3)))
 
 
 class TestPredictOvo:
@@ -304,7 +318,8 @@ def _edit_pair(edit):
     return lambda model: with_binary(model, 1, edit(model.binaries[1]))
 
 
-# edits of a 3-class model with a 2-D scaler that load_model would reject once saved
+# edits of a 3-class model with a 2-D scaler that load_model would reject once saved: the
+# OvOModel constructor refuses the labels and dimensions, save_model the non-finite numbers
 UNSAVABLE = {
     "nan bias": _edit_pair(lambda b: replace(b, bias=float("nan"))),
     "infinite C": _edit_pair(lambda b: replace(b, C=float("inf"))),
@@ -350,20 +365,17 @@ class TestSupportVectorTable:
         # pair (0, 1) votes 1, (0, 2) votes 0, (1, 2) votes 1
         assert np.array_equal(predict_ovo_batch(model, np.zeros((4, 2))), [1, 1, 1, 1])
 
-    def test_mixed_kernels_rejected(self, tmp_path):
+    def test_mixed_kernels_rejected(self):
         model = shared_sv_model(Rbf(0.5), k=3)
         b = model.binaries[1]
-        mixed = with_binary(model, 1, BinaryModel(b.support_vectors, b.sv_alphas, b.sv_labels,
-                                                  b.bias, kernel=Rbf(0.25)))
         with pytest.raises(InvalidInput):
-            predict_ovo_batch(mixed, np.zeros((1, 2)))
-        with pytest.raises(InvalidInput):
-            save_model(mixed, tmp_path / "m.svmodel")
+            with_binary(model, 1, BinaryModel(b.support_vectors, b.sv_alphas, b.sv_labels,
+                                              b.bias, kernel=Rbf(0.25)))
 
     @pytest.mark.parametrize("name", sorted(UNSAVABLE))
     def test_save_refuses_what_load_rejects(self, tmp_path, name):
-        model = shared_sv_model(Rbf(0.5), k=3)
-        model.scaler = ScalerParams(np.full(2, -20.0), np.full(2, 20.0))
+        model = replace(shared_sv_model(Rbf(0.5), k=3),
+                        scaler=ScalerParams(np.full(2, -20.0), np.full(2, 20.0)))
         save_model(model, tmp_path / "m.svmodel")
         with pytest.raises(InvalidInput):
             save_model(UNSAVABLE[name](model), tmp_path / "bad.svmodel")
@@ -372,7 +384,7 @@ class TestSupportVectorTable:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
     def test_table_holds_each_distinct_vector_once(self, kernel):
         model = shared_sv_model(kernel)
-        table_kernel, U, rows = _support_table(model)
+        table_kernel, U, rows = model._support_table
         assert table_kernel == kernel
         for binary, pair_rows in zip(model.binaries, rows):
             assert np.array_equal(U[pair_rows], binary.support_vectors)
@@ -385,8 +397,8 @@ class TestSupportVectorTable:
             predict_ovo_batch(model, np.zeros((1, 3)))
 
     def test_save_load_save_byte_identical_with_shared_vectors(self, tmp_path):
-        model = shared_sv_model(Sigmoid(0.05, -1.0))
-        model.scaler = ScalerParams(np.full(2, -20.0), np.full(2, 20.0))
+        model = replace(shared_sv_model(Sigmoid(0.05, -1.0)),
+                        scaler=ScalerParams(np.full(2, -20.0), np.full(2, 20.0)))
         p1, p2 = tmp_path / "m1.svmodel", tmp_path / "m2.svmodel"
         save_model(model, p1)
         loaded = load_model(p1)
@@ -413,6 +425,14 @@ def _field(prefix, n, value):
         fields = lines[k].split()
         fields[n] = value
         return lines[:k] + [" ".join(fields)] + lines[k + 1:]
+    return mutate
+
+
+def _append(prefix, text):
+    """Append a field to the first line that starts with prefix."""
+    def mutate(lines):
+        k = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:k] + [lines[k] + " " + text] + lines[k + 1:]
     return mutate
 
 
@@ -459,8 +479,14 @@ MALFORMED = {
     "zero polynomial degree": _kernel("polynomial d=0 r=0 sigma=1"),
     "scaler value": _field("scaler_min", 1, "abc"),
     "non-finite scaler value": _field("scaler_max", 1, "inf"),
+    "scaler min above its max": _field("scaler_min", 1, "1e300"),
+    "scaler lines of different lengths": lambda lines: [
+        line.rsplit(" ", 1)[0] if line.startswith("scaler_max") else line for line in lines],
     "pair bias": _field("pair ", 3, "bias=abc"),
     "non-finite pair C": _field("pair ", 4, "C=nan"),
+    "repeated pair key": _append("pair ", "bias=5"),
+    "unknown pair key": _append("pair ", "foo=1"),
+    "pair converged flag": _field("pair ", 5, "converged=7"),
     "pair class id": _field("pair ", 2, "99"),
     "missing pair": _first_pair_only,
     "repeated pair": _field("pair ", 2, "2"),
@@ -548,5 +574,5 @@ class TestFuzzedModel:
         fuzzed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             load_model(fuzzed)
-        except VowelkitError:
+        except FormatError:
             pass
