@@ -9,7 +9,7 @@ import sys
 from dataclasses import fields
 
 from .corpus import VOWELS, load_audio, load_corpus_tokens, load_phn
-from .errors import FormatError, InvalidInput, TooShort
+from .errors import FormatError, InvalidInput, VowelkitError
 from .experiment import (
     FEATURE_KINDS,
     METHOD_NAMES,
@@ -295,7 +295,7 @@ def run_cli(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, TooShort, InvalidInput, OSError) as exc:
+    except (VowelkitError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

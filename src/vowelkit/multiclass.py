@@ -43,8 +43,9 @@ class LabeledDataset:
 class OvOModel:
     """One binary model per class pair (i, j), i < j, in pair_index order; i is the +1 class.
 
-    The constructor makes every structural check and builds _support_table = (kernel, U, rows):
-    the pairs' one kernel, the distinct support vectors U in order of first use, each pair's rows.
+    The constructor makes every structural check and builds the read-only prediction table
+    _support_table = (kernel, U, rows, coef, bias, cols, first): distinct support vectors U, each
+    pair's rows of U, alpha*y per U row and pair, biases, each class's pairs and its +1 side.
     """
 
     label_names: Sequence[str]  # held as a tuple, as are the binaries
@@ -61,17 +62,27 @@ class OvOModel:
         if len(self.binaries) != n_pairs:
             raise InvalidInput(f"{self.k} labels need {n_pairs} pair classifiers, "
                                f"got {len(self.binaries)}")
-        kernels = {b.kernel for b in self.binaries}
+        kernel, *other_kernels = {b.kernel for b in self.binaries}
         dims = {b.support_vectors.shape[1] for b in self.binaries if len(b.support_vectors)}
-        if len(kernels) > 1 or len(dims) > 1:
+        if other_kernels or len(dims) > 1:
             raise InvalidInput("the pair classifiers differ in kernel or support-vector dimension")
         if self.scaler is not None and dims and dims != {self.scaler.dim}:
             raise InvalidInput("the support vectors and the scaler differ in dimension")
         index = {}  # vec.tobytes() -> its row of U, in order of first use
-        rows = [[index.setdefault(vec.tobytes(), len(index)) for vec in b.support_vectors]
-                for b in self.binaries]
+        rows = tuple(np.array([index.setdefault(vec.tobytes(), len(index))
+                               for vec in b.support_vectors], dtype=int) for b in self.binaries)
         U = np.frombuffer(b"".join(index)).reshape(len(index), dims.pop() if dims else 0)
-        object.__setattr__(self, "_support_table", (kernels.pop(), U, rows))
+        coef = np.zeros((len(U), n_pairs))  # alpha*y summed over a pair's copies of a vector
+        np.add.at(coef, (np.concatenate(rows),
+                         np.repeat(np.arange(n_pairs), [len(pair_rows) for pair_rows in rows])),
+                  np.concatenate([b.sv_alphas * b.sv_labels for b in self.binaries]))
+        bias = np.array([b.bias for b in self.binaries])
+        classes = np.arange(self.k)[:, None, None]
+        cols = np.nonzero((np.array(self.pair_index) == classes).any(axis=2))[1].reshape(self.k, -1)
+        first = np.arange(self.k - 1) >= classes[:, 0]  # class c is second in its first c pairs
+        for array in (*rows, coef, bias, cols, first):  # U is read-only already, a view of bytes
+            array.flags.writeable = False
+        object.__setattr__(self, "_support_table", (kernel, U, rows, coef, bias, cols, first))
 
     @property
     def k(self) -> int:
@@ -121,31 +132,16 @@ def train_ovo_many(data: LabeledDataset, params: Sequence[SvmParams],
 def _votes_and_scores(model: OvOModel, X: np.ndarray):
     """Per-row vote counts and |f|-sums per class over all pair classifiers.
 
-    All decision values come from one kernel matrix against the distinct
-    support vectors U: F = K(X, U) @ coef + biases, with coef[u, pair] = alpha*y summed
-    over the pair's copies of u.  A non-finite decision value is an InvalidInput.
+    F = K(X, U) @ coef + bias from the model's table; a non-finite f is an InvalidInput.  A class
+    wins where f >= 0 as a pair's first class, f < 0 as its second, and adds |f| in pair order.
     """
-    kernel, U, rows = model._support_table
-    if len(U) and U.shape[1] != X.shape[1]:
-        raise InvalidInput("feature dimension mismatch")
-    coef = np.zeros((len(U), len(rows)))
-    cols = np.repeat(np.arange(len(rows)), [len(pair_rows) for pair_rows in rows])
-    vals = np.concatenate([b.sv_alphas * b.sv_labels for b in model.binaries])
-    np.add.at(coef, (np.fromiter(itertools.chain(*rows), int), cols), vals)
-    with np.errstate(all="ignore"):
-        F = (gram_matrix(kernel, X, U.reshape(len(U), X.shape[1])) @ coef
-             + np.array([b.bias for b in model.binaries]))
+    kernel, U, _rows, coef, bias, cols, first = model._support_table
+    with np.errstate(all="ignore"):  # gram_matrix checks the dimension
+        F = gram_matrix(kernel, X, U if len(U) else U.reshape(0, X.shape[1])) @ coef + bias
     if not np.isfinite(F).all():
         raise InvalidInput("non-finite decision values; the model's kernel overflows")
-    votes = np.zeros((X.shape[0], model.k), dtype=int)
-    strength = np.zeros((X.shape[0], model.k))
-    for (i, j), f in zip(model.pair_index, F.T):
-        winner_i = f >= 0.0
-        votes[winner_i, i] += 1
-        votes[~winner_i, j] += 1
-        strength[:, i] += np.abs(f)
-        strength[:, j] += np.abs(f)
-    return votes, strength
+    votes = ((F[:, cols] >= 0.0) == first).sum(axis=2)
+    return votes, np.cumsum(np.abs(F)[:, cols], axis=2)[:, :, -1]
 
 
 def predict_ovo_batch(model: OvOModel, X: np.ndarray) -> np.ndarray:
@@ -237,7 +233,7 @@ def save_model(model: OvOModel, path) -> None:
     training can yield a NaN bias, and load_model would reject it.  The labels, pairs and
     dimensions were checked when the model was built.
     """
-    kernel, U, rows = model._support_table
+    kernel, U, rows = model._support_table[:3]
     kernel_line = _kernel_line(kernel)
     scaler = () if model.scaler is None else (model.scaler.mins, model.scaler.maxs)
     numbers = [U.ravel(), *scaler, [x for b in model.binaries for x in (b.bias, b.C)],

@@ -76,6 +76,8 @@ class SvmParams:
 
 @dataclass(frozen=True)
 class BinaryModel:
+    """A solved pair; holds read-only copies of its (n, d) support vectors, alphas and labels."""
+
     support_vectors: np.ndarray
     sv_alphas: np.ndarray
     sv_labels: np.ndarray
@@ -88,7 +90,13 @@ class BinaryModel:
 
     def __post_init__(self):
         for name in ("support_vectors", "sv_alphas", "sv_labels"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if (self.support_vectors.ndim != 2
+                or {self.sv_alphas.shape, self.sv_labels.shape} != {self.support_vectors.shape[:1]}
+                or not set(self.sv_labels.tolist()) <= {-1.0, 1.0}):
+            raise InvalidInput("need support vectors (n, d), each with an alpha and a +1/-1 label")
 
 
 def smo_train(problem: BinaryProblem, params: SvmParams) -> BinaryModel:

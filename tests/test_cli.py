@@ -375,6 +375,23 @@ class TestNonFiniteDecisionValues:
         assert _token_lines(captured.out) == []  # no accuracy and no token label
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("error", VowelkitError.__subclasses__(), ids=lambda e: e.__name__)
+    def test_every_toolkit_error_is_a_data_error(self, tmp_path, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("raised by the command")
+
+        monkeypatch.setitem(cli._COMMANDS, "report", fail)
+        code = run_cli(["report", "--infile", str(tmp_path / "r.json"), "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "data error: raised by the command" in capsys.readouterr().err
+
+    def test_other_exceptions_are_internal_errors(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "report", lambda args: 1 / 0)
+        code = run_cli(["report", "--infile", str(tmp_path / "r.json"), "--out", str(tmp_path)])
+        assert code == cli.EXIT_INTERNAL
+
+
 class TestGridAndReport:
     def test_grid_writes_reports(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "results"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from test_corpus import FUZZ
 from vowelkit.errors import FormatError, InvalidInput
-from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid
+from vowelkit.kernels import Linear, Polynomial, Rbf, Sigmoid, gram_matrix
 from vowelkit.multiclass import (
     LabeledDataset,
     OvOModel,
@@ -384,7 +384,7 @@ class TestSupportVectorTable:
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
     def test_table_holds_each_distinct_vector_once(self, kernel):
         model = shared_sv_model(kernel)
-        table_kernel, U, rows = model._support_table
+        table_kernel, U, rows = model._support_table[:3]
         assert table_kernel == kernel
         for binary, pair_rows in zip(model.binaries, rows):
             assert np.array_equal(U[pair_rows], binary.support_vectors)
@@ -416,6 +416,97 @@ class TestSupportVectorTable:
         probes = np.random.default_rng(23).uniform(-12, 12, size=(100, 2))
         assert np.array_equal(predict_ovo_batch(load_model(crlf), probes),
                               predict_ovo_batch(load_model(path), probes))
+
+
+def per_pair_vote(model, X):
+    """Votes and |f|-sums as one pair at a time, from alpha*y rebuilt from the binaries."""
+    kernel, U, rows = model._support_table[:3]
+    coef = np.zeros((len(U), len(rows)))
+    cols = np.repeat(np.arange(len(rows)), [len(pair_rows) for pair_rows in rows])
+    vals = np.concatenate([b.sv_alphas * b.sv_labels for b in model.binaries])
+    np.add.at(coef, (np.fromiter(itertools.chain(*rows), int), cols), vals)
+    F = (gram_matrix(kernel, X, U.reshape(len(U), X.shape[1])) @ coef
+         + np.array([b.bias for b in model.binaries]))
+    votes = np.zeros((X.shape[0], model.k), dtype=int)
+    strength = np.zeros((X.shape[0], model.k))
+    for (i, j), f in zip(model.pair_index, F.T):
+        winner_i = f >= 0.0
+        votes[winner_i, i] += 1
+        votes[~winner_i, j] += 1
+        strength[:, i] += np.abs(f)
+        strength[:, j] += np.abs(f)
+    return votes, strength, F
+
+
+def tie_model(k, seed):
+    """Linear pairs on a few shared vectors with biases 0, 0.5 and -0.5 in turn; every fourth
+    pair, from the fourth, has no support vectors.  At x = 0 each f is its bias: exact zeros,
+    equal |f| and tied votes."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(6, 2))
+    binaries = []
+    for p in range(k * (k - 1) // 2):
+        n = 0 if p % 4 == 3 else 3
+        binaries.append(BinaryModel(pool[rng.choice(6, size=n, replace=False)],
+                                    rng.uniform(0.1, 1.0, n), rng.choice([-1.0, 1.0], n),
+                                    bias=(0.0, 0.5, -0.5)[p % 3], kernel=Linear()))
+    return OvOModel([f"c{c:02d}" for c in range(k)], binaries)
+
+
+class TestPredictionTable:
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_vote_equals_per_pair_loop(self, k):
+        model = tie_model(k, seed=k)
+        probes = np.vstack([np.random.default_rng(30).normal(size=(40, 2)), np.zeros((10, 2))])
+        votes, strength, F = per_pair_vote(model, probes)
+        assert (F == 0.0).any()
+        got_votes, got_strength = _votes_and_scores(model, probes)
+        assert np.array_equal(got_votes, votes)
+        assert np.array_equal(got_strength, strength)
+        top = votes == votes.max(axis=1, keepdims=True)
+        expected = np.argmax(np.where(top, strength, -np.inf), axis=1)
+        assert np.array_equal(predict_ovo_batch(model, probes), expected)
+        if k > 2:  # equal |f| at x = 0, and the tie-break is exercised
+            assert (np.abs(F[-1]) == 0.5).sum() > 1 and (top.sum(axis=1) > 1).any()
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)
+    def test_alpha_y_and_bias_columns(self, kernel):
+        model = shared_sv_model(kernel)
+        _kernel, U, rows, coef, bias = model._support_table[:5]
+        assert coef.shape == (len(U), len(model.binaries))
+        for p, (binary, pair_rows) in enumerate(zip(model.binaries, rows)):
+            expected = np.zeros(len(U))
+            for u, alpha, label in zip(pair_rows, binary.sv_alphas, binary.sv_labels):
+                expected[u] += alpha * label
+            assert np.array_equal(coef[:, p], expected)
+        assert np.array_equal(bias, [b.bias for b in model.binaries])
+
+    def test_nothing_in_a_model_is_writable(self):
+        model = shared_sv_model(Rbf(0.5), k=3)
+        _kernel, U, rows, *arrays = model._support_table
+        for array in (U, *rows, *arrays):
+            assert not array.flags.writeable
+        for binary in model.binaries:
+            for name in ("support_vectors", "sv_alphas", "sv_labels"):
+                with pytest.raises(ValueError):
+                    getattr(binary, name)[0] = 0.0
+
+    def test_caller_edits_change_neither_predictions_nor_file(self, tmp_path):
+        model = shared_sv_model(Rbf(0.5), k=3)
+        b = model.binaries[1]
+        sv, alphas, labels = (np.array(a) for a in (b.support_vectors, b.sv_alphas, b.sv_labels))
+        model = with_binary(model, 1, BinaryModel(sv, alphas, labels, b.bias, b.kernel, C=b.C))
+        probes = np.random.default_rng(31).uniform(-12, 12, size=(100, 2))
+        before = _votes_and_scores(model, probes)
+        save_model(model, tmp_path / "before.svmodel")
+        sv[:] = 0.0  # the caller's arrays stay writable
+        alphas *= 3.0
+        labels *= -1.0
+        after = _votes_and_scores(model, probes)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        save_model(model, tmp_path / "after.svmodel")
+        assert ((tmp_path / "before.svmodel").read_bytes()
+                == (tmp_path / "after.svmodel").read_bytes())
 
 
 def _field(prefix, n, value):

@@ -74,6 +74,21 @@ class TestPredictBinary:
             decision_values(two_point_model, np.zeros(2))
 
 
+class TestBinaryModelChecks:
+    @pytest.mark.parametrize("support_vectors, alphas, labels", [
+        (np.eye(3), [0.5, 0.5], [1.0, -1.0]),
+        (np.eye(2), [0.5, 0.5], [1.0, 0.5]),
+        (np.eye(2), [0.5, 0.5, 0.5], [1.0, -1.0, 1.0]),
+        (np.eye(2), [0.5, 0.5], [1.0, np.nan]),
+        (np.ones(2), [0.5, 0.5], [1.0, -1.0]),
+        (np.eye(2), [[0.5, 0.5]], [[1.0, -1.0]]),
+    ], ids=["more vectors than alphas", "label 0.5", "more alphas than vectors", "nan label",
+            "vectors not a matrix", "alphas not a vector"])
+    def test_inconsistent_arrays_rejected(self, support_vectors, alphas, labels):
+        with pytest.raises(InvalidInput):
+            BinaryModel(support_vectors, alphas, labels, bias=0.0, kernel=Linear())
+
+
 def _slacks(model, problem):
     """xi_i = max(0, 1 - y_i f(x_i)) over the training set."""
     return np.maximum(0.0, 1.0 - problem.y * decision_values(model, problem.X))
