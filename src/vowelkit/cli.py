@@ -270,7 +270,7 @@ def _cmd_report(args):
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             report = RunReport.from_dict(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"cannot parse report {args.infile}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     out_path = emit_report(report, args.format, args.out)

@@ -5,9 +5,11 @@ tokens of the same shape are stacked and iterated in one lock-step loop, and
 a token that converges or reaches max_iter leaves the stack with its state.
 Each token's arithmetic is the one-token loop's, so the picks, centers and
 memberships are the same bit for bit; fcm_cluster is a batch of one.  All
-tokens of one frame count form one stack.  Distances go through one reused
-buffer, one center at a time unless the stack is small, so memory grows with
-the input.
+tokens of one frame count form one stack.  Each stack has one distance buffer,
+sliced as tokens leave.  A small stack (ALL_CENTERS_ENTRIES) holds its frames
+repeated once per center and takes all centers in one subtraction; a larger one
+takes one center at a time, so memory grows with the input.  The zero-distance
+and empty-cluster fix-ups run only when a distance or a cluster weight is zero.
 """
 
 import math
@@ -85,26 +87,29 @@ def select_middle(features: np.ndarray, k: int) -> np.ndarray:
     return features[start : start + k].copy()
 
 
-def _memberships(features, centers, m):
+def _memberships(features, centers, m, frames=None, diff=None):
     """Memberships and squared distances of (..., N, D) points to (..., c, D) centers.
 
-    A point that sits on a center belongs to it alone.
+    frames, when given, are the points repeated once per center, (..., N, c, D), and
+    diff is a buffer of their shape or of one center's.  A point that sits on a
+    center belongs to it alone.
     """
-    # squared distances through one reused buffer (see ALL_CENTERS_ENTRIES); exponent
-    # 1/(m-1) on squared distance equals 2/(m-1) on the Euclidean distance
-    one = np.broadcast(features, centers[..., :1, :])  # one center's (..., N, D)
+    # squared distances all centers at once or one at a time; exponent 1/(m-1) on
+    # squared distance equals 2/(m-1) on the Euclidean distance
     c = centers.shape[-2]
-    step = c if one.size * c <= ALL_CENTERS_ENTRIES else 1
-    diff = np.empty(one.shape[:-1] + (step, one.shape[-1]))
-    d2 = np.empty(one.shape[:-1] + (c,))
+    frames = features[..., :, None, :] if frames is None else frames
+    step = frames.shape[-2]
+    diff = np.empty(frames.shape) if diff is None else diff
+    d2 = np.empty(diff.shape[:-2] + (c,))
     for k in range(0, c, step):
-        np.subtract(features[..., :, None, :], centers[..., None, k : k + step, :], out=diff)
+        np.subtract(frames, centers[..., None, k : k + step, :], out=diff)
         np.add.reduce(np.square(diff, out=diff), axis=-1, out=d2[..., k : k + step])
-    zero = d2.min(axis=-1) == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = d2 ** (-1.0 / (m - 1.0))
-        u = inv / inv.sum(axis=-1, keepdims=True)
-    if zero.any():
+    # a row with a zero distance is set one-hot below, so its other entries may be anything
+    safe = d2 if d2.all() else np.where(d2 == 0.0, 1.0, d2)
+    inv = safe ** (-1.0 / (m - 1.0))
+    u = inv / inv.sum(axis=-1, keepdims=True)
+    if safe is not d2:
+        zero = d2.min(axis=-1) == 0.0
         u[zero] = 0.0
         u[np.nonzero(zero) + (d2[zero].argmin(axis=-1),)] = 1.0
     return u, d2
@@ -123,23 +128,27 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
     """
     B, n, _ = x.shape
     centers = x[:, np.random.default_rng(seed).choice(n, size=c, replace=False)]
-    u_next, _ = _memberships(x, centers, m)
+    frames, diff = None, np.empty((B, n, 1, x.shape[2]))  # one buffer, sliced as the stack shrinks
+    u_next, _ = _memberships(x, centers, m, frames, diff)
     states = [None] * B
     ids = np.arange(B)  # the token in each row of the stack
     it = 0
     while ids.size:
+        if frames is None and x.size * c <= ALL_CENTERS_ENTRIES:  # all centers at once from now
+            frames = np.repeat(x[:, :, None], c, axis=2)
+            diff = np.empty_like(frames)
         it += 1
         u = u_next  # the memberships of the current centers, computed once
         um = u**m
         new_centers = np.matmul(um.transpose(0, 2, 1), x)
         weight = um.sum(axis=1)
-        empty = weight == 0.0  # a cluster that no frame belongs to keeps its center
-        if empty.any():
+        if not weight.all():  # a cluster that no frame belongs to keeps its center
+            empty = weight == 0.0
             new_centers[empty], weight[empty] = centers[empty], 1.0
         new_centers /= weight[:, :, None]
         shift = np.abs(new_centers - centers).max(axis=(1, 2))
         centers = new_centers
-        u_next, d2 = _memberships(x, centers, m)
+        u_next, d2 = _memberships(x, centers, m, frames, diff)
         stop = (shift < tol) | (it >= max_iter)
         if stop.any():
             for r in np.flatnonzero(stop):
@@ -148,6 +157,7 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
                                           objective=float((um[r] * d2[r]).sum()), n_iter=it)
             keep = ~stop
             x, centers, u_next, ids = x[keep], centers[keep], u_next[keep], ids[keep]
+            frames, diff = (None if frames is None else frames[keep]), diff[: ids.size]
     return states
 
 

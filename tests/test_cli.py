@@ -461,6 +461,15 @@ class TestGridAndReport:
         ])
         assert code == EXIT_DATA
 
+    def test_report_too_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)  # deeper than the JSON decoder recurses
+        code = run_cli([
+            "report", "--infile", str(deep), "--out", str(tmp_path), "--format", "csv",
+        ])
+        assert code == EXIT_DATA
+        assert "cannot parse report" in capsys.readouterr().err
+
     @pytest.mark.parametrize("features, code", [("mfcc36 plp36", EXIT_OK), ("plp36", EXIT_DATA)])
     def test_too_high_lp_order_fails_only_the_plp_cells(self, small_corpus, tmp_path, capsys,
                                                          features, code):

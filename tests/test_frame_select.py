@@ -285,6 +285,22 @@ class TestFcmLockstep:
         for x, state in zip(tokens, states):
             _assert_state_equal(state, _one_token_fcm(x, 7, seed=5))
 
+    @pytest.mark.parametrize("count, entries", [
+        (12, 4 * 24 * 36 * 7),  # one center at a time until 4 tokens are left
+        (12, 1 << 16),  # one center at a time until 10 tokens are left
+        (10, 1 << 16),  # all centers at once from the start
+    ], ids=["enters-at-4", "enters-at-10", "starts-inside"])
+    def test_tokens_leave_inside_the_all_centers_regime(self, count, entries, monkeypatch):
+        monkeypatch.setattr(frame_select, "ALL_CENTERS_ENTRIES", entries)
+        tokens = _tokens(40, count, frames=[24])
+        states = _fcm_lockstep(np.stack(tokens), 7, 2.0, 1e-5, 300, 5)
+        # the tokens still in the stack once it fits the regime leave at several
+        # iterations, so the repeated frames shrink with the stack
+        fits = entries // (24 * 36 * 7)
+        assert len(set(sorted(state.n_iter for state in states)[count - fits:])) >= 3
+        for x, state in zip(tokens, states):
+            _assert_state_equal(state, _one_token_fcm(x, 7, seed=5))
+
     def test_zero_distances(self):
         rng = np.random.default_rng(32)
         base = rng.normal(size=(10, 3))
@@ -342,6 +358,21 @@ class TestFcmLockstep:
             tracemalloc.stop()
         # one stack of the tokens and one buffer of its size, no (B, N, c, D) array
         assert peak < 6 * sum(t.nbytes for t in tokens)
+
+    def test_peak_memory_in_the_all_centers_regime(self):
+        rng = np.random.default_rng(42)
+        tokens = [rng.normal(size=(24, 36)) for _ in range(10)]
+        entries = 10 * 24 * 36 * 7  # the stack's center differences, just inside the regime
+        assert entries <= frame_select.ALL_CENTERS_ENTRIES < entries + 24 * 36 * 7
+        tracemalloc.start()
+        try:
+            select_frames_many(tokens, Fcm(7))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the repeated frames and one buffer of their shape, 8 bytes per entry each, and
+        # arrays no larger than the stack itself
+        assert peak < 4 * frame_select.ALL_CENTERS_ENTRIES * 8
 
     def test_fcm_cluster_is_a_batch_of_one(self):
         x = _tokens(36, 1, frames=[24])[0]
