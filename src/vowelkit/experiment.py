@@ -195,9 +195,10 @@ class ExperimentConfig:
     workers: int = 1  # accepted for compatibility; the grid runs its cells in sequence
 
     def __post_init__(self):
-        for name in ("kernels", "features", "c_values", "sigmas", "k_values", "methods"):
+        for name in ("phonemes", "kernels", "features", "c_values", "sigmas", "k_values",
+                     "methods"):
             if not getattr(self, name):
-                raise InvalidInput(f"grid list {name} must be non-empty")
+                raise InvalidInput(f"list {name} must be non-empty")
 
 
 @dataclass

@@ -5,11 +5,12 @@ tokens of the same shape are stacked and iterated in one lock-step loop, and
 a token that converges or reaches max_iter leaves the stack with its state.
 Each token's arithmetic is the one-token loop's, so the picks, centers and
 memberships are the same bit for bit; fcm_cluster is a batch of one.  All
-tokens of one frame count form one stack.  Each stack has one distance buffer,
-sliced as tokens leave.  A small stack (ALL_CENTERS_ENTRIES) holds its frames
-repeated once per center and takes all centers in one subtraction; a larger one
-takes one center at a time, so memory grows with the input.  The zero-distance
-and empty-cluster fix-ups run only when a distance or a cluster weight is zero.
+tokens of one frame count form one stack.  A small stack (ALL_CENTERS_ENTRIES)
+holds its frames repeated once per center, sliced as tokens leave, and takes all
+centers in one subtraction; a larger one takes one center at a time, each
+difference sized to the live stack, so memory grows with the input.  The
+zero-distance and empty-cluster fix-ups run only when a distance or a cluster
+weight is zero.
 """
 
 import math
@@ -87,23 +88,21 @@ def select_middle(features: np.ndarray, k: int) -> np.ndarray:
     return features[start : start + k].copy()
 
 
-def _memberships(features, centers, m, frames=None, diff=None):
+def _memberships(features, centers, m, frames=None):
     """Memberships and squared distances of (..., N, D) points to (..., c, D) centers.
 
-    frames, when given, are the points repeated once per center, (..., N, c, D), and
-    diff is a buffer of their shape or of one center's.  A point that sits on a
-    center belongs to it alone.
+    frames, when given, are the points repeated once per center, (..., N, c, D).  A
+    point that sits on a center belongs to it alone.
     """
-    # squared distances all centers at once or one at a time; exponent 1/(m-1) on
-    # squared distance equals 2/(m-1) on the Euclidean distance
+    # squared distances all centers at once or one at a time; an unnamed difference is freed
+    # before the next is made.  Exponent 1/(m-1) on d2 equals 2/(m-1) on the distance
     c = centers.shape[-2]
     frames = features[..., :, None, :] if frames is None else frames
     step = frames.shape[-2]
-    diff = np.empty(frames.shape) if diff is None else diff
-    d2 = np.empty(diff.shape[:-2] + (c,))
+    d2 = np.empty(frames.shape[:-2] + (c,))
     for k in range(0, c, step):
-        np.subtract(frames, centers[..., None, k : k + step, :], out=diff)
-        np.add.reduce(np.square(diff, out=diff), axis=-1, out=d2[..., k : k + step])
+        np.add.reduce((frames - centers[..., None, k : k + step, :]) ** 2, axis=-1,
+                      out=d2[..., k : k + step])
     # a row with a zero distance is set one-hot below, so its other entries may be anything
     safe = d2 if d2.all() else np.where(d2 == 0.0, 1.0, d2)
     inv = safe ** (-1.0 / (m - 1.0))
@@ -128,15 +127,14 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
     """
     B, n, _ = x.shape
     centers = x[:, np.random.default_rng(seed).choice(n, size=c, replace=False)]
-    frames, diff = None, np.empty((B, n, 1, x.shape[2]))  # one buffer, sliced as the stack shrinks
-    u_next, _ = _memberships(x, centers, m, frames, diff)
+    frames = None
+    u_next, _ = _memberships(x, centers, m)
     states = [None] * B
     ids = np.arange(B)  # the token in each row of the stack
     it = 0
     while ids.size:
         if frames is None and x.size * c <= ALL_CENTERS_ENTRIES:  # all centers at once from now
             frames = np.repeat(x[:, :, None], c, axis=2)
-            diff = np.empty_like(frames)
         it += 1
         u = u_next  # the memberships of the current centers, computed once
         um = u**m
@@ -148,7 +146,7 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
         new_centers /= weight[:, :, None]
         shift = np.abs(new_centers - centers).max(axis=(1, 2))
         centers = new_centers
-        u_next, d2 = _memberships(x, centers, m, frames, diff)
+        u_next, d2 = _memberships(x, centers, m, frames)
         stop = (shift < tol) | (it >= max_iter)
         if stop.any():
             for r in np.flatnonzero(stop):
@@ -157,7 +155,7 @@ def _fcm_lockstep(x: np.ndarray, c: int, m: float, tol: float, max_iter: int,
                                           objective=float((um[r] * d2[r]).sum()), n_iter=it)
             keep = ~stop
             x, centers, u_next, ids = x[keep], centers[keep], u_next[keep], ids[keep]
-            frames, diff = (None if frames is None else frames[keep]), diff[: ids.size]
+            frames = None if frames is None else frames[keep]
     return states
 
 
@@ -202,9 +200,8 @@ def select_frames_many(feature_list: Sequence[np.ndarray],
         groups.setdefault(features.shape, []).append(t)
     out = [None] * len(feature_list)
     for (n, _d), members in groups.items():
-        x = np.stack([feature_list[t] for t in members])
-        states = _fcm_lockstep(x, min(method.k, n), method.m, method.tol, method.max_iter,
-                               method.seed)
+        states = _fcm_lockstep(np.stack([feature_list[t] for t in members]), min(method.k, n),
+                               method.m, method.tol, method.max_iter, method.seed)
         for t, state in zip(members, states):
             picks = np.unique(state.membership.argmax(axis=0))  # sorted, one per cluster
             out[t] = feature_list[t][picks]

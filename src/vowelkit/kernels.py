@@ -108,8 +108,9 @@ KERNEL_KINDS = {"polynomial": Polynomial, "rbf": Rbf, "sigmoid": Sigmoid, "linea
 
 
 def make_kernel(kind: str, sigma: float) -> KernelSpec:
-    """Grid-search constructor: one sigma knob, standard defaults for the rest."""
+    """Grid-search constructor: one sigma knob, finite for every kind, defaults for the rest."""
     if kind not in KERNEL_KINDS:
         raise InvalidInput(f"unknown kernel kind: {kind!r}")
+    _require_finite(kind, sigma=sigma)
     cls = KERNEL_KINDS[kind]
     return cls() if cls is Linear else cls(sigma=sigma)

@@ -13,8 +13,8 @@ Wen et al., JMLR 2018); smo_train is a batch of one.  Each problem has its own
 SvmParams: C, kkt_tol and max_iter are per-row state.  The problems' states are
 stacked as zero-padded (P, L) arrays and every step selects and updates all
 active problems together (Catanzaro, Sundaram & Keutzer, ICML 2008).  The
-elementwise arithmetic of each problem is _smo_loop's, so a model is the same
-bit for bit whatever batch it is solved in.  A Gram block belongs to a
+step is _smo_loop's expressions applied to all rows, so a model is the same bit
+for bit whatever batch it is solved in.  A Gram block belongs to a
 (problem object, kernel) key, so problems that differ only in C share one
 block.  A problem that stops leaves the stack; when one is left its state row
 continues in _smo_loop, which costs less per update.  Batches count distinct
@@ -245,8 +245,6 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
     n_iter, budget = 0, max_iter.min()  # every active problem has made n_iter updates
     ids = np.arange(P)  # the problem in each row of the state
     rows = ids * L  # flat index of each row's slot 0 in the state
-    scratch = np.empty((2, P, L))
-    b, curv = scratch
     models = [None] * P
     while ids.size > 1:
         v_up = np.where(w < hi, v, -np.inf)
@@ -265,16 +263,13 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
             w, v, lo, hi, diag, base, kkt_tol, max_iter, ids = (
                 x[keep] for x in (w, v, lo, hi, diag, base, kkt_tol, max_iter, ids))
             rows, budget = rows[: ids.size], max_iter.min() if ids.size else 0
-            b, curv = scratch[:, : ids.size]
             continue
         k_i = G.take(base + i, axis=0)
-        np.subtract(m[:, None], v_low, out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(k_i, 2.0, out=curv)
-        np.subtract(diag, curv, out=curv)
-        curv += diag.take(fi)[:, None]
-        a = np.where(curv > 0.0, curv, TAU)
-        j = np.divide(np.multiply(b, b, out=curv), a, out=curv).argmax(axis=1)
+        b = np.maximum(m[:, None] - v_low, 0.0)
+        a = diag - 2.0 * k_i
+        a += diag.take(fi)[:, None]
+        a = np.where(a > 0.0, a, TAU)
+        j = (b * b / a).argmax(axis=1)
         fj = rows + j
         # _smo_loop's clipped step
         hi_i, w_i, lo_j, w_j = hi.take(fi), w.take(fi), lo.take(fj), w.take(fj)
@@ -282,9 +277,7 @@ def _lockstep(problems: List[BinaryProblem], params: List[SvmParams]) -> List[Bi
         t = np.minimum(np.minimum(b.take(fj) / a.take(fj), cap_i), cap_j)
         w.put(fi, np.where(t == cap_i, hi_i, w_i + t))
         w.put(fj, np.where(t == cap_j, lo_j, w_j - t))
-        k_i -= G.take(base + j, axis=0)
-        k_i *= t[:, None]
-        v -= k_i
+        v -= t[:, None] * (k_i - G.take(base + j, axis=0))
         n_iter += 1
     if ids.size:  # the last problem continues in _smo_loop, cheaper for one
         p, l, g = ids[0], sizes[ids[0]], base[0]

@@ -2,6 +2,8 @@ import csv
 import itertools
 import json
 import os
+import re
+import shlex
 import shutil
 import wave
 from dataclasses import fields, replace
@@ -49,7 +51,22 @@ def trained_model(small_corpus, tmp_path_factory):
     return out
 
 
+def _readme_commands():
+    """Every `vowelkit …` line of README's sh blocks, backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("vowelkit ")]
+
+
 class TestUsage:
+    def test_readme_examples_parse(self):
+        commands = _readme_commands()
+        assert len(commands) == 5
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
+
     def test_unknown_flag(self, capsys):
         assert run_cli(["train", "--nope"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
@@ -90,7 +107,8 @@ class TestTrain:
         assert "# seed = 0" in captured
         assert out.exists()
 
-    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "inf"], ["--sigma", "nan"]])
+    @pytest.mark.parametrize("flags", [["--C", "nan"], ["--C", "inf"], ["--sigma", "nan"],
+                                       ["--kernel", "linear", "--sigma", "nan"]])
     def test_non_finite_parameter_exits_2_without_model(self, small_corpus, tmp_path, capsys,
                                                         flags):
         out = tmp_path / "m.svmodel"
@@ -413,6 +431,25 @@ class TestGridAndReport:
         assert (out / "best.svmodel").exists()
         assert "# seed = 1" in capsys.readouterr().out
 
+    def test_frontend_section_model_is_refused_by_evaluate_and_predict(
+            self, small_corpus, utterance, tmp_path, capsys):
+        # evaluate and predict build the default front end, so a saved model whose grid
+        # set a [frontend] value has another fingerprint
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nphonemes = aa iy uw\n[frontend]\nhop = 64\n"
+                       "[grid]\nkernels = rbf\nfeatures = mfcc36\nc = 10\nsigma = 0.5\n")
+        out = tmp_path / "out"
+        assert run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(out), "--save-best"]) == EXIT_OK
+        wav, phn, _spans = utterance
+        for command, inputs in (("evaluate", ["--corpus", str(small_corpus)]),
+                                ("predict", ["--audio", wav, "--phn", phn])):
+            capsys.readouterr()
+            assert run_cli([command, "--model", str(out / "best.svmodel")] + inputs) == EXIT_DATA
+            captured = capsys.readouterr()
+            assert "different frontend/selection configuration" in captured.err
+            assert _token_lines(captured.out) == []
+
     def test_seed_flag_overrides_the_config_file(self, small_corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[experiment]\nseed = 1\nphonemes = aa iy uw\n"
@@ -603,6 +640,7 @@ MALFORMED_CONFIGS = {
     "unknown feature": b"[grid]\nfeatures = mfcc99\n",
     "zero hop": b"[frontend]\nhop = 0\n",
     "empty c list": b"[grid]\nc =\n",
+    "empty phonemes": b"[experiment]\nphonemes =\n",
     "frame_len not a power of two": b"[frontend]\nframe_len = 200\nhop = 100\n",
     "no section header": b"seed = 1\n",
     "duplicate section": b"[grid]\nc = 10\n[grid]\n",
