@@ -183,13 +183,13 @@ def _pipeline_pieces(args):
 
 def _cmd_train(args):
     frontend, selection, phonemes = _pipeline_pieces(args)
+    kernel = make_kernel(args.kernel, args.sigma)
+    params = SvmParams(C=args.c_value, kernel=kernel)
     tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("train",))
     if not tokens:
         raise InvalidInput(f"no training tokens under {args.corpus}")
     train, _test, scaler = build_dataset(tokens, frontend, selection)
-    kernel = make_kernel(args.kernel, args.sigma)
-    params = SvmParams(C=args.c_value, kernel=kernel)
-    model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint, scaler=scaler)
+    model = train_ovo(train, params, fingerprint=train.fingerprint, scaler=scaler)
     if args.psd_check:
         _is_psd, min_eig = psd_check(gram_matrix(kernel, train.X), tol=1e-8)
         print(f"# training Gram minimum eigenvalue: {min_eig:.6g}")
@@ -229,6 +229,7 @@ def _cmd_predict(args):
 def _cmd_evaluate(args):
     frontend, selection, phonemes = _pipeline_pieces(args)
     model = load_model(args.model)
+    check_fingerprint(model, config_fingerprint(frontend, selection, model.label_names))
     tokens = load_corpus_tokens(args.corpus, whitelist=phonemes, splits=("test",))
     _train, test, _scaler = build_dataset(tokens, frontend, selection,
                                           label_names=model.label_names, scaler=model.scaler)

@@ -1,5 +1,6 @@
 """TIMIT-style corpus ingestion: audio files, .phn transcriptions, tokens."""
 
+import io
 import os
 import wave
 from dataclasses import dataclass
@@ -35,26 +36,23 @@ def _pcm16_to_float(raw: bytes, path, dtype: str = "<i2") -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).astype(float) / 32768.0
 
 
-def _load_wav(path) -> RawSignal:
+def _load_wav(raw: bytes, path) -> RawSignal:
     try:
-        with wave.open(str(path), "rb") as wf:
-            if wf.getcomptype() not in ("NONE",):
-                raise FormatError(f"{path}: compressed WAV not supported")
+        with wave.open(io.BytesIO(raw), "rb") as wf:
             if wf.getsampwidth() != 2:
                 raise FormatError(f"{path}: only 16-bit PCM supported")
             if wf.getnchannels() != 1:
                 raise FormatError(f"{path}: only mono audio supported")
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return RawSignal(_pcm16_to_float(raw, path), rate)
+            data = wf.readframes(wf.getnframes())
+    # wave raises a bare EOFError on a truncated header, RuntimeError on a chunk past its parent
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise FormatError(f"{path}: {str(exc) or 'truncated or malformed WAV header'}") from exc
+    return RawSignal(_pcm16_to_float(data, path), rate)
 
 
-def _load_sphere(path) -> RawSignal:
-    with open(path, "rb") as fh:
-        header = fh.read(SPHERE_HEADER_SIZE)
-        data = fh.read()
+def _load_sphere(raw: bytes, path) -> RawSignal:
+    header, data = raw[:SPHERE_HEADER_SIZE], raw[SPHERE_HEADER_SIZE:]
     fields = {}
     for line in header.decode("ascii", errors="replace").splitlines():
         parts = line.split()
@@ -87,15 +85,14 @@ def _load_sphere(path) -> RawSignal:
 def load_audio(path, sample_rate: Optional[int] = None) -> RawSignal:
     """Read RIFF WAV, NIST SPHERE, or (with explicit rate) raw PCM16."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-    if magic[:4] == b"RIFF":
-        return _load_wav(path)
-    if magic.startswith(b"NIST_1A"):
-        return _load_sphere(path)
+        raw = fh.read()
+    if raw[:4] == b"RIFF":
+        return _load_wav(raw, path)
+    if raw.startswith(b"NIST_1A"):
+        return _load_sphere(raw, path)
     if sample_rate is not None:
-        with open(path, "rb") as fh:
-            return RawSignal(_pcm16_to_float(fh.read(), path), sample_rate)
-    raise FormatError(f"{path}: unknown audio format (magic {magic[:4]!r})")
+        return RawSignal(_pcm16_to_float(raw, path), sample_rate)
+    raise FormatError(f"{path}: unknown audio format (magic {raw[:4]!r})")
 
 
 def load_phn(path, whitelist: Sequence[str] = VOWELS,

@@ -54,23 +54,17 @@ def config_fingerprint(frontend: FrontendConfig, selection: SelectionMethod,
 
 
 @dataclass
-class FrameDataset:
-    """Selected, scaled frames with per-phoneme grouping."""
+class FrameDataset(LabeledDataset):
+    """Selected, scaled frames, one class id per frame in labels, with per-phoneme grouping."""
 
-    X: np.ndarray
-    frame_labels: np.ndarray
     token_spans: List[Tuple[int, int]]  # row ranges, one per kept token
     token_labels: np.ndarray
-    label_names: List[str]
     skipped: int
     fingerprint: str
 
     @property
     def n_tokens(self) -> int:
         return len(self.token_spans)
-
-    def as_labeled(self) -> LabeledDataset:
-        return LabeledDataset(self.X, self.frame_labels, self.label_names)
 
 
 def extract_token_features(tokens: Sequence[PhonemeToken], frontend: FrontendConfig,
@@ -127,8 +121,8 @@ def _assemble(token_feats, selection, label_names, split, dim, fingerprint) -> F
     kept, x, spans = select_tokens(in_split, selection, dim)
     token_labels = np.array([index[token.label] for token in kept], dtype=int)
     return FrameDataset(
-        X=x, frame_labels=np.repeat(token_labels, [stop - start for start, stop in spans]),
-        token_spans=spans, token_labels=token_labels, label_names=list(label_names),
+        X=x, labels=np.repeat(token_labels, [stop - start for start, stop in spans]),
+        label_names=list(label_names), token_spans=spans, token_labels=token_labels,
         skipped=len(in_split) - len(kept), fingerprint=fingerprint,
     )
 
@@ -166,7 +160,7 @@ def evaluate(model: OvOModel, test: FrameDataset):
         raise InvalidInput("test set is empty")
     check_fingerprint(model, test.fingerprint)
     frame_preds, token_preds = vote_tokens(model, test.X, test.token_spans)
-    frame_acc = 100.0 * float(np.mean(frame_preds == test.frame_labels))
+    frame_acc = 100.0 * float(np.mean(frame_preds == test.labels))
     k = len(test.label_names)
     confusion = np.zeros((k, k), dtype=int)
     np.add.at(confusion, (test.token_labels, token_preds), 1)
@@ -341,7 +335,7 @@ def grid_search(config: ExperimentConfig, save_best: Optional[str] = None) -> Ru
             train, test, scaler = build_dataset(tokens, frontend, selection,
                                                 label_names=label_names, token_feats=token_feats)
             t0 = time.perf_counter()
-            models = train_ovo_many(train.as_labeled(), [params for _n, _c, params in group],
+            models = train_ovo_many(train, [params for _n, _c, params in group],
                                     fingerprint=train.fingerprint, scaler=scaler)
         except VowelkitError as exc:
             for _n, cell, _params in group:

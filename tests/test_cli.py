@@ -117,6 +117,21 @@ class TestTrain:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--C", "--sigma"])
+    def test_non_finite_parameter_is_refused_before_audio_is_read(self, tmp_path, capsys, flag):
+        code = run_cli(["train", "--corpus", str(tmp_path / "missing"),
+                        "--out", str(tmp_path / "m.svmodel"), flag, "nan"])
+        assert code == EXIT_DATA
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_no_training_tokens_exits_2_without_model(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "m.svmodel"
+        code = run_cli(["train", "--corpus", str(small_corpus), "--out", str(out),
+                        "--phonemes", "eh"])
+        assert code == EXIT_DATA
+        assert "no training tokens under" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_fcm_seed_exits_2_without_model(self, small_corpus, tmp_path, capsys):
         out = tmp_path / "m.svmodel"
         code = run_cli(["train", "--corpus", str(small_corpus), "--out", str(out),
@@ -369,6 +384,21 @@ class TestEvaluate:
         assert "different frontend/selection configuration" in captured.err
         assert "phoneme_accuracy" not in captured.out
 
+    def test_config_mismatch_rejected_before_audio_is_read(self, trained_model, tmp_path,
+                                                           capsys):
+        code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path),
+                        "--frames", "middle:5"])  # tmp_path has no test/ split
+        assert code == EXIT_DATA
+        assert "different frontend/selection configuration" in capsys.readouterr().err
+
+    def test_only_tokens_shorter_than_a_frame_exits_2(self, trained_model, tmp_path, capsys):
+        os.makedirs(tmp_path / "test" / "aa")
+        write_wav(tmp_path / "test" / "aa" / "u.wav", np.zeros(400))
+        (tmp_path / "test" / "aa" / "u.phn").write_text("0 100 aa\n")
+        code = run_cli(["evaluate", "--model", str(trained_model), "--corpus", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "test set is empty" in capsys.readouterr().err
+
 
 class TestNonFiniteDecisionValues:
     @pytest.fixture(scope="class")
@@ -449,6 +479,27 @@ class TestGridAndReport:
             captured = capsys.readouterr()
             assert "different frontend/selection configuration" in captured.err
             assert _token_lines(captured.out) == []
+
+    def test_no_usable_tokens_exits_2(self, small_corpus, tmp_path, capsys):
+        cfg = tmp_path / "eh.cfg"
+        cfg.write_text("[experiment]\nphonemes = eh\n[grid]\nkernels = rbf\nfeatures = mfcc36\n"
+                       "c = 10\nsigma = 0.5\nk = 3\nmethods = middle\n")
+        code = run_cli(["grid", "--config", str(cfg), "--corpus", str(small_corpus),
+                        "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "no usable tokens under" in capsys.readouterr().err
+
+    def test_truncated_wav_fails_every_cell_with_exit_2(self, small_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_corpus, corpus)
+        (corpus / "train" / "aa" / "utt000.wav").write_bytes(b"RIFF")
+        out = tmp_path / "out"
+        code = run_cli(["grid", "--config", _mini_cfg(tmp_path), "--corpus", str(corpus),
+                        "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "truncated or malformed WAV header" in capsys.readouterr().err
+        cells = json.loads((out / "report.json").read_text())["cells"]
+        assert cells and all("utt000.wav" in cell["error"] for cell in cells)
 
     def test_seed_flag_overrides_the_config_file(self, small_corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -752,6 +803,8 @@ class TestOutsideFileErrors:
 
     @pytest.mark.parametrize("name, message", [
         ("8-bit.wav", "only 16-bit PCM"), ("junk.wav", "not a WAVE file"),
+        ("truncated.wav", "truncated or malformed WAV header"),
+        ("chunk-past-riff.wav", "truncated or malformed WAV header"),
         ("8-bit.sph", "only 16-bit SPHERE")])
     def test_unsupported_audio_exits_2(self, trained_model, tmp_path, capsys, name, message):
         audio = tmp_path / name
@@ -763,6 +816,10 @@ class TestOutsideFileErrors:
                 wf.writeframes(bytes(2048))
         elif name == "junk.wav":
             audio.write_bytes(b"RIFFjunk")
+        elif name == "truncated.wav":
+            audio.write_bytes(b"RIFF")
+        elif name == "chunk-past-riff.wav":  # a 1000-byte chunk inside a 16-byte RIFF chunk
+            audio.write_bytes(b"RIFF\x10\x00\x00\x00WAVEjunk\xe8\x03\x00\x00" + bytes(4))
         else:
             audio.write_bytes(sphere_bytes(np.zeros(2048)).replace(b"sample_n_bytes -i 2",
                                                                     b"sample_n_bytes -i 1"))

@@ -53,6 +53,26 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_audio(path)
 
+    @FUZZ
+    @given(length=st.none() | st.integers(4, 63),
+           flips=st.lists(st.tuples(st.integers(4, 63), st.integers(0, 255)), max_size=4))
+    def test_fuzzed_header_raises_only_toolkit_errors(self, tmp_path, length, flips):
+        # truncations and byte flips of the first 64 bytes, past the RIFF magic
+        path = tmp_path / "fuzz.wav"
+        write_wav(path, np.zeros(100))
+        raw = bytearray(path.read_bytes())
+        for at, value in flips:
+            raw[at] = value
+        path.write_bytes(raw[:length])
+        try:
+            signal = load_audio(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: ") and str(exc) != f"{path}: "
+            return
+        except InvalidInput:
+            return
+        assert signal.samples.ndim == 1
+
 
 def sphere_bytes(samples, rate=16000, byte_format="01", coding="pcm", extra=""):
     header = (
@@ -95,6 +115,16 @@ class TestLoadSphere:
         path = tmp_path / "d.sph"
         path.write_bytes(re.sub(rb"(%s -i )\d" % field.encode(), rb"\1x", sphere_bytes([0, 0])))
         with pytest.raises(FormatError, match=field):
+            load_audio(path)
+
+    @pytest.mark.parametrize("sphere, match", [
+        (sphere_bytes([0, 0], rate=-16000), "negative SPHERE sample_rate"),
+        (sphere_bytes([0, 0]).replace(b"channel_count -i 1", b"channel_count -i 2"), "only mono"),
+    ], ids=["negative sample_rate", "two channels"])
+    def test_field_value_rejected(self, tmp_path, sphere, match):
+        path = tmp_path / "g.sph"
+        path.write_bytes(sphere)
+        with pytest.raises(FormatError, match=match):
             load_audio(path)
 
     def test_sample_count_truncates(self, tmp_path):

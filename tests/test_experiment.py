@@ -137,7 +137,7 @@ class TestEvaluate:
         selection = selection or MiddleFrames(3)
         train, test, scaler = build_dataset(tokens, frontend_for("mfcc36"), selection)
         model = train_ovo(
-            train.as_labeled(), params or SvmParams(C=10.0, kernel=Rbf(0.5)),
+            train, params or SvmParams(C=10.0, kernel=Rbf(0.5)),
             fingerprint=train.fingerprint, scaler=scaler,
         )
         return model, train, test
@@ -163,7 +163,7 @@ class TestEvaluate:
         assert np.array_equal(metrics["confusion"], expected)
         assert 0 < np.trace(expected) < test.n_tokens
         assert metrics["phoneme_accuracy"] == 100.0 * np.trace(expected) / test.n_tokens
-        assert metrics["frame_accuracy"] == 100.0 * np.mean(frame_preds == test.frame_labels)
+        assert metrics["frame_accuracy"] == 100.0 * np.mean(frame_preds == test.labels)
 
     def test_separable_training_accuracy(self, small_corpus):
         model, train, test = self.train_small(small_corpus)
@@ -275,8 +275,7 @@ class TestGridSearch:
             label_names=sorted(config.phonemes),
         )
         params = SvmParams(C=best.C, kernel=make_kernel(best.kernel, best.sigma))
-        model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint,
-                          scaler=scaler)
+        model = train_ovo(train, params, fingerprint=train.fingerprint, scaler=scaler)
         save_model(model, str(tmp_path / "reference.svmodel"))
         assert saved.read_bytes() == (tmp_path / "reference.svmodel").read_bytes()
 
@@ -295,8 +294,7 @@ class TestGridSearch:
         for kern, c, sigma in sorted(itertools.product(config.kernels, config.c_values,
                                                        config.sigmas)):
             params = SvmParams(C=c, kernel=make_kernel(kern, sigma))
-            model = train_ovo(train.as_labeled(), params, fingerprint=train.fingerprint,
-                              scaler=scaler)
+            model = train_ovo(train, params, fingerprint=train.fingerprint, scaler=scaler)
             metrics = evaluate(model, test)
             n_pairs = len(model.pair_index)
             cells.append(GridCell(

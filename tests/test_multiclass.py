@@ -571,6 +571,7 @@ MALFORMED = {
     "scaler value": _field("scaler_min", 1, "abc"),
     "non-finite scaler value": _field("scaler_max", 1, "inf"),
     "scaler min above its max": _field("scaler_min", 1, "1e300"),
+    "scaler block": _field("scaler_min", 0, "scaler_low"),
     "scaler lines of different lengths": lambda lines: [
         line.rsplit(" ", 1)[0] if line.startswith("scaler_max") else line for line in lines],
     "pair bias": _field("pair ", 3, "bias=abc"),
